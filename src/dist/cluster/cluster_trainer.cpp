@@ -23,10 +23,11 @@ namespace salient::dist {
 
 namespace {
 
-/// One node's in-flight state for one global batch. Written by the owning
-/// node thread when the batch is prepared and trained; read (and its staging
-/// buffer targeted by posted fetches) by the rank-0 thread in the serialized
-/// network phase — the step barriers are the synchronization.
+/// One node's in-flight state for one global batch (one slot of the node's
+/// prefetch ring). Written by the owning node thread when the batch is
+/// prepared and trained; read (and its staging buffer targeted by posted
+/// fetches) by the rank-0 thread in the serialized network phase — the step
+/// barriers are the synchronization.
 struct StepState {
   std::int64_t rows = 0;      ///< this node's chunk of the global batch
   double loss_weight = 0;     ///< rows / global batch rows
@@ -37,9 +38,6 @@ struct StepState {
   Tensor x;                   ///< [num_input, F] f32, assembled per source
   Tensor y;                   ///< [rows] i64 labels
   std::vector<Half> stage;    ///< fetched remote rows, wire precision (f16)
-
-  // Pipelined bookkeeping (idle on the bulk-synchronous path):
-  std::int64_t batch_index = -1;   ///< global batch this ring slot holds
   std::vector<FetchId> fetch_ids;  ///< posted fetches not yet waited on
   double issue = 0;                ///< sim time the fetches were posted
   double ready = 0;                ///< sim time the last fetch completes
@@ -48,7 +46,7 @@ struct StepState {
 /// Phase-A work for one (node, batch) chunk: sample, plan against the remote
 /// cache, assemble the f32 input matrix from cache hits and locally-owned
 /// rows, slice labels, and size the staging buffer for the remote fetches.
-/// The assembly order is fixed, so every step protocol produces identical
+/// The assembly order is fixed, so every pipeline depth produces identical
 /// bits for identical (seed, chunk).
 void prepare_chunk(StepState& s, const Dataset& dataset, const Half* feat,
                    std::int64_t feat_dim, FastSampler& sampler,
@@ -115,7 +113,7 @@ void convert_fetched_rows(StepState& s, std::int64_t feat_dim) {
 
 /// Phase-C training math for one chunk: forward/backward, weighted gradient
 /// all-reduce (so the mean update equals the global-batch gradient), and the
-/// optimizer step. Identical between step protocols — this is what makes
+/// optimizer step. Independent of the pipeline depth — this is what makes
 /// losses bitwise depth-invariant.
 void train_chunk(StepState& s, nn::GnnModel& model,
                  std::vector<Variable>& params, optim::Adam& opt,
@@ -232,22 +230,23 @@ void ClusterTrainer::set_timeline(sim::Timeline* timeline) {
 }
 
 ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
-  static obs::Gauge& m_depth =
-      obs::Registry::global().gauge("dist.pipeline.depth");
-  m_depth.set(static_cast<double>(config_.pipeline_depth));
-  if (config_.pipeline_depth == 0) return train_epoch_bulk(epoch);
-  return train_epoch_pipelined(epoch);
-}
-
-ClusterEpochResult ClusterTrainer::train_epoch_bulk(int epoch) {
   const int world = num_nodes();
   const auto worldz = static_cast<std::size_t>(world);
+  const int depth = config_.pipeline_depth;
+  const int slots = depth + 1;
+  static obs::Gauge& m_depth =
+      obs::Registry::global().gauge("dist.pipeline.depth");
+  m_depth.set(static_cast<double>(depth));
   static obs::Counter& m_node_retries =
       obs::Registry::global().counter("dist.node.retries");
+  static obs::Counter& m_stall_ms =
+      obs::Registry::global().counter("dist.pipeline.stall_ms");
+  static obs::Counter& m_overlap_ms =
+      obs::Registry::global().counter("dist.net.overlap_saved_ms");
 
   ClusterEpochResult result;
   result.epoch = epoch;
-  result.pipeline_depth = 0;
+  result.pipeline_depth = depth;
   WallTimer wall;
 
   // Same epoch-seed derivation and shuffle as the single-node trainer
@@ -279,211 +278,11 @@ ClusterEpochResult ClusterTrainer::train_epoch_bulk(int epoch) {
 
   RingAllreduce allreduce(world);
   std::barrier<> bar(world);
-  std::vector<StepState> st(worldz);
-  std::vector<std::exception_ptr> errors(worldz);
-  std::atomic<bool> abort{false};
-  std::atomic<std::int64_t> node_retries{0};
-  std::vector<double> node_secs(worldz, 0.0);
-  double loss_sum = 0;
-
-  auto node_body = [&](int rank) {
-    const auto rankz = static_cast<std::size_t>(rank);
-    auto& model = *models_[rankz];
-    auto& opt = *optimizers_[rankz];
-    model.train(true);
-    FastSampler sampler(dataset_.graph, config_.fanouts);
-    auto params = model.parameters();
-    const RemoteFeatureCache& rcache = *caches_[rankz];
-
-    for (std::int64_t b = 0; b < num_steps; ++b) {
-      WallTimer t;
-      StepState& s = st[rankz];
-      const std::int64_t lo = b * batch;
-      const std::int64_t hi = std::min(total, lo + batch);
-      const std::int64_t global_rows = hi - lo;
-      const ChunkRange chunk = chunk_range(global_rows, world, rank);
-
-      // -- Phase A: sample + plan + local/cached feature assembly. A fired
-      // `dist.node.fail` discards the attempt's work (the simulated node
-      // crash) and redoes it — resampling is deterministic, so recovery is
-      // lossless. The retry budget is bounded; exhaustion aborts the epoch.
-      bool ok = false;
-      for (int attempt = 0; attempt <= config_.max_step_retries && !ok;
-           ++attempt) {
-        SALIENT_FAILPOINT_WEDGE("dist.node.slow");
-        s = StepState{};
-        prepare_chunk(s, dataset_, feat, feat_dim, sampler, rcache, order, lo,
-                      chunk, global_rows,
-                      schedule_mix_seed(epoch_seed, b * world + rank),
-                      config_.sim_train_us_per_input_row);
-        if (SALIENT_FAILPOINT("dist.node.fail")) {
-          node_retries.fetch_add(1, std::memory_order_relaxed);
-          m_node_retries.add();
-          continue;
-        }
-        ok = true;
-      }
-      if (!ok) {
-        errors[rankz] = std::make_exception_ptr(ClusterError(
-            "cluster: node " + std::to_string(rank) + " failed step " +
-            std::to_string(b) + " after " +
-            std::to_string(config_.max_step_retries) + " retries"));
-      }
-      node_secs[rankz] += t.seconds();
-      bar.arrive_and_wait();
-
-      // -- Phase B: rank 0 serially moves every node's remote-miss rows
-      // over the modelled interconnect in (destination, owner) order, so
-      // the simulated clocks are deterministic regardless of thread
-      // scheduling. Payloads travel in wire precision (f16).
-      if (rank == 0) {
-        for (const auto& e : errors) {
-          if (e) abort.store(true, std::memory_order_relaxed);
-        }
-        if (!abort.load(std::memory_order_relaxed)) {
-          try {
-            std::vector<Half> scratch;
-            for (int p = 0; p < world; ++p) {
-              StepState& sp = st[static_cast<std::size_t>(p)];
-              std::int64_t off = 0;
-              for (const auto& f : sp.rp.fetches) {
-                const auto rows = static_cast<std::int64_t>(f.rows.size());
-                scratch.resize(static_cast<std::size_t>(rows * feat_dim));
-                for (std::int64_t k = 0; k < rows; ++k) {
-                  std::memcpy(
-                      scratch.data() + k * feat_dim,
-                      feat + sp.mfg.n_ids[static_cast<std::size_t>(
-                                 f.rows[static_cast<std::size_t>(k)])] *
-                                 feat_dim,
-                      static_cast<std::size_t>(feat_dim) * sizeof(Half));
-                }
-                const std::size_t nb =
-                    static_cast<std::size_t>(rows * feat_dim) * sizeof(Half);
-                node_clock_[static_cast<std::size_t>(p)] = net_.transfer(
-                    f.owner, p, scratch.data(),
-                    sp.stage.data() + off * feat_dim, nb,
-                    node_clock_[static_cast<std::size_t>(p)]);
-                off += rows;
-                result.remote_rows_fetched += rows;
-                result.remote_feature_bytes += nb;
-              }
-              result.remote_hits += sp.rp.remote_hits;
-              result.remote_misses += sp.rp.remote_misses;
-            }
-          } catch (...) {
-            errors[0] = std::current_exception();
-            abort.store(true, std::memory_order_relaxed);
-          }
-        }
-      }
-      bar.arrive_and_wait();
-      if (abort.load(std::memory_order_relaxed)) break;
-
-      // -- Phase C: convert the fetched rows, train on the chunk, average
-      // gradients across nodes (weighted so the global update equals the
-      // gradient of the whole batch's mean loss), and step.
-      t.reset();
-      convert_fetched_rows(s, feat_dim);
-      train_chunk(s, model, params, opt, allreduce, rank, world, global_rows);
-      node_secs[rankz] += t.seconds();
-      bar.arrive_and_wait();
-
-      // -- Step accounting (rank 0): batch-weighted loss, the modelled
-      // compute cost of every chunk (serialized after its fetches — the
-      // bulk-synchronous critical path), plus one ring all-reduce pass
-      // charged to the simulated network.
-      if (rank == 0) {
-        double step_loss = 0;
-        for (const StepState& sp : st) {
-          step_loss += sp.loss_weight * sp.loss;
-        }
-        loss_sum += step_loss;
-        for (int p = 0; p < world; ++p) {
-          node_clock_[static_cast<std::size_t>(p)] +=
-              st[static_cast<std::size_t>(p)].train_sim;
-        }
-        if (world > 1) {
-          const double begin =
-              *std::max_element(node_clock_.begin(), node_clock_.end());
-          const double end =
-              net_.allreduce_time(param_count * sizeof(float), begin);
-          std::fill(node_clock_.begin(), node_clock_.end(), end);
-        }
-      }
-      bar.arrive_and_wait();
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(worldz);
-  for (int p = 0; p < world; ++p) threads.emplace_back(node_body, p);
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  result.wall_seconds = wall.seconds();
-  result.num_steps = num_steps;
-  result.mean_loss = loss_sum / static_cast<double>(num_steps);
-  result.node_retries = node_retries.load(std::memory_order_relaxed);
-  result.wire_bytes = net_.bytes_on_wire() - bytes0;
-  result.net_messages = net_.messages() - msgs0;
-  result.net_retries = net_.retries() - retr0;
-  result.sim_net_seconds = net_.busy_seconds() - busy0;
-  result.sim_epoch_seconds =
-      *std::max_element(node_clock_.begin(), node_clock_.end()) - sim0;
-  result.node_seconds = node_secs;
-  flag_stragglers(config_, node_secs, result);
-  return result;
-}
-
-ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
-  const int world = num_nodes();
-  const auto worldz = static_cast<std::size_t>(world);
-  const int depth = config_.pipeline_depth;
-  const int slots = depth + 1;
-  static obs::Counter& m_node_retries =
-      obs::Registry::global().counter("dist.node.retries");
-  static obs::Counter& m_stall_ms =
-      obs::Registry::global().counter("dist.pipeline.stall_ms");
-  static obs::Counter& m_overlap_ms =
-      obs::Registry::global().counter("dist.net.overlap_saved_ms");
-
-  ClusterEpochResult result;
-  result.epoch = epoch;
-  result.pipeline_depth = depth;
-  WallTimer wall;
-
-  const std::uint64_t epoch_seed =
-      config_.seed * 0x10001ull + static_cast<std::uint64_t>(epoch) + 1;
-  std::vector<NodeId> order = dataset_.train_idx;
-  schedule_shuffle(order, epoch_seed);
-  const auto total = static_cast<std::int64_t>(order.size());
-  const std::int64_t batch = config_.batch_size;
-  const std::int64_t num_steps = (total + batch - 1) / batch;
-  if (num_steps == 0) {
-    throw std::invalid_argument("cluster: dataset has no training nodes");
-  }
-
-  const std::size_t bytes0 = net_.bytes_on_wire();
-  const std::int64_t msgs0 = net_.messages();
-  const std::int64_t retr0 = net_.retries();
-  const double busy0 = net_.busy_seconds();
-  const double sim0 =
-      *std::max_element(node_clock_.begin(), node_clock_.end());
-
-  const std::int64_t feat_dim = dataset_.feature_dim;
-  const Half* feat = dataset_.features.data<Half>();
-  std::size_t param_count = 0;
-  for (const auto& p : models_[0]->parameters()) {
-    param_count += static_cast<std::size_t>(p.data().numel());
-  }
-
-  RingAllreduce allreduce(world);
-  std::barrier<> bar(world);
-  // The micro-pipeline: a ring of depth+1 in-flight batches per node. Batch
-  // j lives in slot j % slots; by the time slot j % slots is reused (batch
-  // j + depth + 1 prepared at step j + 1) batch j has finished training.
+  // The micro-pipeline: a ring of depth+1 in-flight batches per node — the
+  // batch training now plus a prefetch window of `depth` batches, empty at
+  // depth 0. Batch j lives in slot j % slots; by the time slot j % slots is
+  // reused (batch j + depth + 1 prepared at step j + 1) batch j has
+  // finished training.
   std::vector<std::vector<StepState>> ring(worldz);
   for (auto& r : ring) r.resize(static_cast<std::size_t>(slots));
   std::vector<std::exception_ptr> errors(worldz);
@@ -573,10 +372,10 @@ ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
       const ChunkRange admit = pipeline_admit_range(b, depth, num_steps);
 
       // -- Phase A: sample + plan + assemble every batch entering the
-      // pipeline window, exactly one batch ahead of training in steady
-      // state. `dist.node.fail` discards the attempt's freshly prepared
-      // batches (the simulated node crash) and redoes them — no fetches
-      // have been posted for them yet, so recovery is lossless.
+      // pipeline window, one per step in steady state. `dist.node.fail`
+      // discards the attempt's freshly prepared batches (the simulated node
+      // crash) and redoes them — no fetches have been posted for them yet,
+      // so recovery is lossless.
       bool ok = false;
       for (int attempt = 0; attempt <= config_.max_step_retries && !ok;
            ++attempt) {
@@ -584,7 +383,6 @@ ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
         for (std::int64_t j = admit.begin; j < admit.end; ++j) {
           StepState& s = ring[rankz][static_cast<std::size_t>(j % slots)];
           s = StepState{};
-          s.batch_index = j;
           const std::int64_t lo = j * batch;
           const std::int64_t hi = std::min(total, lo + batch);
           const std::int64_t global_rows = hi - lo;
@@ -611,21 +409,23 @@ ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
       bar.arrive_and_wait();
 
       // -- Phase B (rank 0, serialized): advance the virtual clock. Batch
-      // b's compute start is gated on its completion events; the entering
-      // batches' fetches are posted at that compute start — on the wire
-      // while batch b trains, which is the overlap this protocol exists
-      // for. Posting order is deterministic (batch, destination, owner).
+      // b's compute start is gated on its completion events; the batches
+      // entering ahead of it post their fetches at that compute start — on
+      // the wire while batch b trains, which is the overlap pipelining
+      // exists for. Posting order is deterministic (batch, destination,
+      // owner).
       if (rank == 0) {
         for (const auto& e : errors) {
           if (e) abort.store(true, std::memory_order_relaxed);
         }
         if (!abort.load(std::memory_order_relaxed)) {
           try {
-            if (b == 0) {
-              // Pipeline fill: batch 0's fetches are posted at the epoch
-              // base clock; once its compute start is known the rest of
-              // the initial window posts there.
-              post_batch(0, prev_ar_end);
+            if (admit.begin == b) {
+              // Batch b enters the window at its own step (step 0, or every
+              // step of an empty window at depth 0): nothing trains ahead of
+              // it, so its fetches post at the step's base clock and sit on
+              // the critical path in full.
+              post_batch(b, prev_ar_end);
             }
             for (int p = 0; p < world; ++p) {
               const auto pz = static_cast<std::size_t>(p);
@@ -640,7 +440,7 @@ ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
               m_overlap_ms.add(
                   static_cast<std::int64_t>(std::max(0.0, span - stall) * 1e3));
             }
-            for (std::int64_t j = std::max<std::int64_t>(1, admit.begin);
+            for (std::int64_t j = std::max(b + 1, admit.begin);
                  j < admit.end; ++j) {
               post_batch(j, compute_start);
             }
@@ -657,8 +457,8 @@ ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
       }
 
       // -- Phase C: wait batch b's completion events (committing the
-      // fetched payloads), convert, train, allreduce, step — the training
-      // math is shared with the bulk path, so losses are depth-invariant.
+      // fetched payloads), convert, train, allreduce, step. Nothing here
+      // depends on the depth, so losses are depth-invariant.
       t.reset();
       StepState& s = ring[rankz][static_cast<std::size_t>(b % slots)];
       for (const FetchId id : s.fetch_ids) net_.wait_fetch(id);
@@ -671,7 +471,7 @@ ClusterEpochResult ClusterTrainer::train_epoch_pipelined(int epoch) {
 
       // -- Step accounting (rank 0): batch-weighted loss, per-node compute
       // spans on the virtual clock, one ring all-reduce pass at the step
-      // boundary (unchanged from bulk — the optimizer math depends on it).
+      // boundary (at every depth — the optimizer math depends on it).
       if (rank == 0) {
         double step_loss = 0;
         for (int p = 0; p < world; ++p) {

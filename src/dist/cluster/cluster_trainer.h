@@ -5,25 +5,21 @@
 // partition shard of the feature store, and a RemoteFeatureCache of hot
 // remote rows. Each global mini-batch of the epoch-shuffled training
 // schedule is split into per-node contiguous chunks (sampling/distributed.h
-// chunk_range). Two step protocols share identical training math:
-//
-//   pipeline_depth == 0 — the bulk-synchronous protocol: every step runs
-//   sample -> fetch -> train in whole-phase barriers, so interconnect
-//   fetches sit on the simulated critical path;
-//
-//   pipeline_depth >= 1 — the pipelined protocol (the SALIENT idea applied
-//   across nodes): each node keeps a bounded ring of depth+1 in-flight
-//   batches; batch k+depth is sampled and its remote fetches posted on the
-//   Interconnect (post_fetch) while batch k trains, and batch k's training
-//   starts from its per-batch completion events (wait_fetch) — mirroring
-//   the device-stream overlap in SalientLoader. The allreduce stays at step
-//   boundaries, so the optimizer math — and therefore every loss — is
-//   bitwise identical to the bulk-synchronous path at any depth.
+// chunk_range). One step protocol runs every epoch (the SALIENT idea
+// applied across nodes): each node keeps a ring of depth+1 in-flight
+// batches; batch k+depth is sampled and its remote fetches posted on the
+// Interconnect (post_fetch) while batch k trains, and batch k's training
+// starts from its per-batch completion events (wait_fetch) — mirroring the
+// device-stream overlap in SalientLoader. pipeline_depth == 0 is the same
+// loop with an empty prefetch window: every batch posts its own fetches at
+// its step's start, so they sit on the simulated critical path in full (no
+// overlap). The allreduce stays at step boundaries, so the optimizer math —
+// and therefore every loss — is bitwise identical at any depth.
 //
 // The virtual clock charges a deterministic modelled compute cost per batch
 // (sim_train_us_per_input_row), which is the window pipelining hides
-// fetches in: simulated epoch time drops while losses stay bitwise equal,
-// which is exactly what tools/dist_bench gates.
+// fetches in: simulated epoch time drops below the depth-0 run while losses
+// stay bitwise equal, which is exactly what tools/dist_bench gates.
 //
 // A 1-node cluster degenerates to the single-node Trainer's exact schedule
 // (same epoch seeds, same shuffle, same per-batch sampler seeds, elementwise
@@ -78,17 +74,17 @@ struct ClusterConfig {
   int max_step_retries = 2;
   /// Micro-pipeline prefetch depth per node: while batch k trains, batches
   /// up to k+depth are sampled and their remote fetches posted on the
-  /// interconnect (at most depth+1 batches in flight per node). 0 selects
-  /// the bulk-synchronous protocol — exactly the barrier-phased step the
-  /// cluster shipped with. Any depth produces bitwise-identical losses;
+  /// interconnect (at most depth+1 batches in flight per node). 0 is an
+  /// empty prefetch window: each batch's fetches are exposed in full, the
+  /// no-overlap reference. Any depth produces bitwise-identical losses;
   /// only simulated epoch time changes. CLI form (tools/dist_bench):
   /// --depths=<list>.
   int pipeline_depth = 2;
   /// Modelled training compute charged to the virtual clock, in
   /// microseconds per MFG input row. Deterministic in the sampled batch, so
   /// simulated epoch times are exactly reproducible; this is the compute
-  /// window overlapped fetches hide in. Applied identically to both step
-  /// protocols so their simulated epoch times are comparable.
+  /// window overlapped fetches hide in. Applied identically at every depth
+  /// so simulated epoch times are comparable across depths.
   double sim_train_us_per_input_row = 1.0;
   /// Straggler flagging: a node is flagged when its epoch work time exceeds
   /// straggler_factor * median(node times) ...
@@ -105,12 +101,13 @@ struct ClusterError : std::runtime_error {
 /// Statistics of one synchronized cluster epoch.
 struct ClusterEpochResult {
   int epoch = 0;               ///< epoch index
-  int pipeline_depth = 0;      ///< step protocol the epoch ran under
+  int pipeline_depth = 0;      ///< prefetch depth the epoch ran at
   double wall_seconds = 0;     ///< host wall time of the epoch
   double sim_net_seconds = 0;  ///< interconnect busy seconds (sum per link)
   double sim_epoch_seconds = 0;  ///< modelled epoch time (fetch+compute+ring)
   double overlap_saved_seconds = 0;  ///< fetch time hidden behind compute
-  double stall_seconds = 0;    ///< compute stalled waiting on fetches
+  double stall_seconds = 0;    ///< compute stalled waiting on fetches (at
+                               ///< depth 0: every fetch's exposed time)
   double mean_loss = 0;        ///< batch-weighted mean training loss
   std::int64_t num_steps = 0;  ///< global synchronized steps
 
@@ -146,16 +143,15 @@ class ClusterTrainer {
   /// \throws std::invalid_argument on bad node counts or cache configs.
   ClusterTrainer(const Dataset& dataset, ClusterConfig config);
 
-  /// Run one synchronized epoch over the dataset's training split,
-  /// dispatching on `pipeline_depth`: 0 runs the bulk-synchronous protocol,
-  /// >= 1 the pipelined one. In-flight fetches are drained before either
-  /// path surfaces an error.
+  /// Run one synchronized epoch over the dataset's training split at the
+  /// configured `pipeline_depth`. In-flight fetches are drained before an
+  /// error surfaces.
   /// \throws ClusterError when a node step exhausts its bounded retries and
   /// NetError when a message exhausts the interconnect's retry budget.
   ClusterEpochResult train_epoch(int epoch);
 
   /// Attach a timeline: the interconnect records its message spans and the
-  /// pipelined trainer adds per-batch "node<p>.compute" spans (nullptr
+  /// trainer adds per-batch "node<p>.compute" spans (nullptr
   /// detaches). The timeline must outlive the trainer or the next call.
   void set_timeline(sim::Timeline* timeline);
 
@@ -181,11 +177,6 @@ class ClusterTrainer {
   const ClusterConfig& config() const { return config_; }
 
  private:
-  /// The PR 7 barrier-phased step protocol (pipeline_depth == 0).
-  ClusterEpochResult train_epoch_bulk(int epoch);
-  /// The overlapped step protocol (pipeline_depth >= 1).
-  ClusterEpochResult train_epoch_pipelined(int epoch);
-
   const Dataset& dataset_;
   ClusterConfig config_;
   ClusterPartition partition_;

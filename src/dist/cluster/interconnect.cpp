@@ -28,8 +28,9 @@ double Interconnect::wire_seconds(std::size_t bytes,
   return static_cast<double>(bytes) * 8.0 / (gbps * 1e9);
 }
 
-double Interconnect::model_message(int src, int dst, std::size_t bytes,
-                                   double start) {
+PostedFetch Interconnect::post_fetch(int src, int dst, const void* payload,
+                                     void* out, std::size_t bytes,
+                                     double start) {
   if (src < 0 || src >= num_nodes_ || dst < 0 || dst >= num_nodes_) {
     throw std::invalid_argument("interconnect: node out of range");
   }
@@ -38,6 +39,7 @@ double Interconnect::model_message(int src, int dst, std::size_t bytes,
   static obs::Counter& m_messages = reg.counter("dist.net.messages");
   static obs::Counter& m_retries = reg.counter("dist.net.retries");
 
+  LockGuard lock(mu_);
   const std::size_t framed = bytes + config_.message_overhead_bytes;
   // Duplex occupancy: the message holds src's TX and dst's RX for its whole
   // duration, but leaves src's RX and dst's TX free — opposite-direction
@@ -86,24 +88,7 @@ double Interconnect::model_message(int src, int dst, std::size_t bytes,
     timeline_->add("net.rx" + std::to_string(dst),
                    "msg" + std::to_string(src), -1, begin, clock);
   }
-  return clock;
-}
 
-double Interconnect::transfer(int src, int dst, const void* payload, void* out,
-                              std::size_t bytes, double start) {
-  LockGuard lock(mu_);
-  const double clock = model_message(src, dst, bytes, start);
-  if (payload != nullptr && out != nullptr && bytes > 0) {
-    std::memcpy(out, payload, bytes);
-  }
-  return clock;
-}
-
-PostedFetch Interconnect::post_fetch(int src, int dst, const void* payload,
-                                     void* out, std::size_t bytes,
-                                     double start) {
-  LockGuard lock(mu_);
-  const double clock = model_message(src, dst, bytes, start);
   Pending p;
   p.out = out;
   p.completion = clock;

@@ -11,10 +11,9 @@
 // sleeping out wall time: a whole epoch-time-vs-cache-size sweep runs in
 // seconds and its simulated timings are exactly reproducible.
 //
-// Messages move either synchronously (transfer: model + commit in one call)
-// or asynchronously (post_fetch/wait_fetch: the timing is modelled and the
-// payload snapshotted at post, committed at wait) — the async form is what
-// the pipelined ClusterTrainer overlaps with training compute. Links are
+// Messages move asynchronously (post_fetch/wait_fetch): the timing is
+// modelled and the payload snapshotted at post, committed at wait — the
+// completion event ClusterTrainer overlaps with training compute. Links are
 // full duplex: a node's TX and RX NICs are accounted independently, so
 // concurrent opposite-direction messages between two nodes take the time of
 // one, not two (tests/test_cluster.cpp pins this).
@@ -80,8 +79,8 @@ struct PostedFetch {
 
 /// N-node simulated network. Thread-safe; all timing state is guarded by an
 /// internal mutex. Simulated times are seconds on the caller's virtual
-/// clock: transfer() receives the sender's earliest-start time and returns
-/// the message's completion time, serializing concurrent messages on each
+/// clock: post_fetch() receives the message's earliest-start time and
+/// returns its completion time, serializing concurrent messages on each
 /// node's TX/RX NIC occupancy exactly like the DMA engine serializes its
 /// copy engine.
 class Interconnect {
@@ -90,26 +89,19 @@ class Interconnect {
   /// \throws std::invalid_argument when num_nodes < 1.
   explicit Interconnect(int num_nodes, InterconnectConfig config = {});
 
-  /// Send `bytes` of `payload` from node `src` to node `dst`, copying them
-  /// into `out` (when both pointers are non-null) on the final successful
-  /// attempt. The message starts no earlier than `start` (simulated
-  /// seconds) and no earlier than either NIC frees up; the return value is
-  /// its completion time. Counts the `dist.net.{bytes,messages,retries}`
-  /// metrics and records a timeline span when a timeline is attached.
-  /// \throws NetError when every attempt was dropped.
-  double transfer(int src, int dst, const void* payload, void* out,
-                  std::size_t bytes, double start);
-
-  /// Asynchronous form of transfer(): post `bytes` of `payload` from `src`
-  /// to `dst` starting no earlier than `start`, charging the same modelled
-  /// cost (latency + framed wire time, serialized on src's TX and dst's RX
-  /// NIC occupancy — the two directions of a link are duplex and never
-  /// contend with each other). The payload is snapshotted at post so the
-  /// caller may reuse its buffer, but it is committed into `out` only at
-  /// wait_fetch — the per-batch completion event the pipelined trainer
-  /// overlaps sampling and training against. Retries of dropped attempts
+  /// Post `bytes` of `payload` from node `src` to node `dst`. The message
+  /// starts no earlier than `start` (simulated seconds) and no earlier than
+  /// src's TX and dst's RX NICs free up — the two directions of a link are
+  /// duplex and never contend with each other — and costs latency plus
+  /// framed wire time; the returned completion is its end. The payload is
+  /// snapshotted at post so the caller may reuse its buffer, but it is
+  /// committed into `out` (when both pointers are non-null) only at
+  /// wait_fetch — the per-batch completion event the trainer overlaps
+  /// sampling and training against. Retries of dropped attempts
   /// (`dist.net.drop`) happen inside the post, so a successfully posted
-  /// fetch always delivers the intact payload.
+  /// fetch always delivers the intact payload. Counts the
+  /// `dist.net.{bytes,messages,retries}` metrics and records a timeline
+  /// span when a timeline is attached.
   /// \throws NetError when every attempt was dropped (the model detects
   /// undeliverability at post time because timing is precomputed).
   PostedFetch post_fetch(int src, int dst, const void* payload, void* out,
@@ -121,8 +113,8 @@ class Interconnect {
   /// \throws std::invalid_argument on an unknown or already-waited handle.
   double wait_fetch(FetchId id);
 
-  /// Number of posted fetches not yet waited on (the pipelined trainer
-  /// drains to zero even when a step fails mid-overlap).
+  /// Number of posted fetches not yet waited on (the trainer drains to
+  /// zero even when a step fails mid-overlap).
   std::int64_t pending_fetches() const;
 
   /// Cumulative seconds the fabric spent busy moving messages (including
@@ -166,13 +158,6 @@ class Interconnect {
 
   /// Seconds to move `bytes` at the (possibly degraded) link rate.
   double wire_seconds(std::size_t bytes, double degrade_factor) const;
-
-  /// Model one message on the virtual clock (NIC occupancy, drop retries,
-  /// metrics, timeline span, busy accounting) and return its completion
-  /// time. Shared by transfer() and post_fetch().
-  /// \throws NetError when every attempt was dropped.
-  double model_message(int src, int dst, std::size_t bytes, double start)
-      REQUIRES(mu_);
 
   const InterconnectConfig config_;  // unguarded: const topology
   const int num_nodes_;              // unguarded: const topology

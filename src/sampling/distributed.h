@@ -76,9 +76,9 @@ std::vector<std::vector<std::int64_t>> group_rows_by_owner(
 /// batch step + depth (empty once the epoch tail has nothing left). Summed
 /// over steps, every batch in [0, num_steps) is admitted exactly once, at
 /// the latest step that still keeps it `depth` batches ahead of training —
-/// the schedule both the pipelined ClusterTrainer and its property tests
-/// derive their in-flight windows from. depth == 0 degenerates to one batch
-/// per step (the bulk-synchronous schedule).
+/// the schedule both ClusterTrainer and its property tests derive their
+/// in-flight windows from. depth == 0 is the empty window: each batch is
+/// admitted at its own step.
 /// \throws std::invalid_argument on negative step/depth or num_steps < 1.
 ChunkRange pipeline_admit_range(std::int64_t step, int depth,
                                 std::int64_t num_steps);

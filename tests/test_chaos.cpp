@@ -528,7 +528,7 @@ dist::ClusterEpochResult run_cluster_epoch() {
   return t.train_epoch(0);
 }
 
-/// Same epoch at an explicit pipeline depth (0 = bulk-synchronous).
+/// Same epoch at an explicit pipeline depth (0 = empty prefetch window).
 dist::ClusterEpochResult run_cluster_epoch_at_depth(int depth) {
   dist::ClusterConfig cc = chaos_cluster_config();
   cc.pipeline_depth = depth;
@@ -663,7 +663,7 @@ TEST(ChaosCluster, RetriedPostedFetchDeliversIntactPayload) {
   EXPECT_EQ(net.pending_fetches(), 0);
 }
 
-TEST(ChaosCluster, PipelinedTrainerDrainsInFlightFetchesOnFailure) {
+TEST(ChaosCluster, TrainerDrainsInFlightFetchesOnFailure) {
   SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "pipeline drain on failure");
@@ -682,32 +682,32 @@ TEST(ChaosCluster, PipelinedTrainerDrainsInFlightFetchesOnFailure) {
       << "an aborted epoch must not leave posted fetches in flight";
 }
 
-TEST(ChaosCluster, MidOverlapFaultsAreBitwiseInvariantAcrossProtocols) {
+TEST(ChaosCluster, MidOverlapFaultsAreBitwiseInvariantAcrossDepths) {
   SKIP_WITHOUT_FAILPOINTS();
   ScopedDisarm guard;
   Watchdog wd(std::chrono::milliseconds(120000), "mid-overlap determinism");
 
-  // The full invariance square: {bulk, pipelined} x {clean, faulted} all
+  // The full invariance square: {depth 0, depth 2} x {clean, faulted} all
   // produce the same losses and deliver the same traffic. Drops land
-  // mid-overlap on the pipelined runs (depth 2 keeps three batches in
-  // flight) and are retried inside the posted fetch.
-  const auto bulk_clean = run_cluster_epoch_at_depth(0);
+  // mid-overlap at depth 2 (three batches in flight) and are retried inside
+  // the posted fetch.
+  const auto none_clean = run_cluster_epoch_at_depth(0);
   const auto pipe_clean = run_cluster_epoch_at_depth(2);
   Registry::global().configure("dist.net.drop", TriggerSpec::every(3));
-  const auto bulk_fault = run_cluster_epoch_at_depth(0);
+  const auto none_fault = run_cluster_epoch_at_depth(0);
   const auto pipe_fault = run_cluster_epoch_at_depth(2);
   Registry::global().disarm_all();
 
   EXPECT_GT(pipe_fault.net_retries, 0) << "the schedule should have dropped";
-  for (const auto* r : {&pipe_clean, &bulk_fault, &pipe_fault}) {
-    EXPECT_EQ(r->mean_loss, bulk_clean.mean_loss);
-    EXPECT_EQ(r->remote_feature_bytes, bulk_clean.remote_feature_bytes);
-    EXPECT_EQ(r->remote_rows_fetched, bulk_clean.remote_rows_fetched);
+  for (const auto* r : {&pipe_clean, &none_fault, &pipe_fault}) {
+    EXPECT_EQ(r->mean_loss, none_clean.mean_loss);
+    EXPECT_EQ(r->remote_feature_bytes, none_clean.remote_feature_bytes);
+    EXPECT_EQ(r->remote_rows_fetched, none_clean.remote_rows_fetched);
   }
-  // Overlap still wins under faults: retries inflate both protocols'
-  // simulated epochs, but the pipelined one keeps them off the critical
-  // path wherever compute covers them.
-  EXPECT_LT(pipe_fault.sim_epoch_seconds, bulk_fault.sim_epoch_seconds);
+  // Overlap still wins under faults: retries inflate the simulated epoch at
+  // both depths, but prefetching keeps them off the critical path wherever
+  // compute covers them.
+  EXPECT_LT(pipe_fault.sim_epoch_seconds, none_fault.sim_epoch_seconds);
 }
 
 TEST(ChaosCluster, DegradedLinkMidOverlapStallsThePipelineDeterministically) {

@@ -1,19 +1,20 @@
 // Cluster-simulation tests (src/dist/cluster/, docs/DISTRIBUTED.md):
 // partition invariants (unique ownership, symmetric halo/boundary maps),
-// batch chunking, interconnect timing/occupancy/payload integrity (sync
-// transfer and async post_fetch/wait_fetch, duplex NIC accounting), remote
-// cache plans against the uncached per-owner grouping, monotone replication
-// under growing capacity, and the trainer's determinism ladder — a 1-node
-// cluster reproduces the single-node Trainer's loss trajectory bitwise, a
-// fixed (seed, node count, pipeline depth) is bitwise reproducible, 1/2/4-
-// node runs learn while keeping replicas exactly in sync, and the pipelined
-// step protocol at any depth reproduces the bulk-synchronous losses bitwise
-// while strictly lowering simulated epoch time.
+// batch chunking, interconnect timing/occupancy/payload integrity
+// (post_fetch/wait_fetch, duplex NIC accounting), remote cache plans against
+// the uncached per-owner grouping, monotone replication under growing
+// capacity, and the trainer's determinism ladder — a 1-node cluster
+// reproduces the single-node Trainer's loss trajectory bitwise, a fixed
+// (seed, node count, pipeline depth) is bitwise reproducible, 1/2/4-node
+// runs learn while keeping replicas exactly in sync, and every prefetch
+// depth reproduces the depth-0 (empty window) losses bitwise while strictly
+// lowering simulated epoch time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "dist/cluster/cluster_trainer.h"
 #include "dist/cluster/interconnect.h"
@@ -207,8 +208,7 @@ TEST(PipelineAdmitRange, AdmitsEveryBatchExactlyOnceAheadOfTraining) {
             << "batch " << j << " at depth " << depth << ", " << steps
             << " steps";
       }
-      // depth 0 degenerates to the bulk-synchronous one-batch-per-step
-      // schedule.
+      // depth 0 is the empty window: each batch enters at its own step.
       if (depth == 0) {
         const ChunkRange r = pipeline_admit_range(steps - 1, 0, steps);
         ASSERT_EQ(r.size(), 1);
@@ -245,7 +245,7 @@ TEST(GroupRowsByOwner, PartitionsEveryInputRow) {
 // Interconnect
 // ---------------------------------------------------------------------------
 
-TEST(InterconnectTest, TransferTimeMatchesModelAndPayloadArrives) {
+TEST(InterconnectTest, PostedFetchTimeMatchesModelAndCommitsAtWait) {
   InterconnectConfig cfg;
   cfg.link_gbps = 8.0;
   cfg.latency_us = 50.0;
@@ -254,14 +254,23 @@ TEST(InterconnectTest, TransferTimeMatchesModelAndPayloadArrives) {
 
   std::vector<float> src(250, 1.5f), dst(250, 0.0f);
   const std::size_t bytes = src.size() * sizeof(float);  // 1000 B payload
-  const double end = net.transfer(0, 1, src.data(), dst.data(), bytes, 0.0);
+  const auto posted = net.post_fetch(0, 1, src.data(), dst.data(), bytes, 0.5);
   const double expect =
-      50e-6 + static_cast<double>(bytes + 100) * 8.0 / (8.0 * 1e9);
-  EXPECT_NEAR(end, expect, 1e-12);
-  EXPECT_EQ(dst, src);
+      0.5 + 50e-6 + static_cast<double>(bytes + 100) * 8.0 / (8.0 * 1e9);
+  EXPECT_NEAR(posted.completion, expect, 1e-12);
+  EXPECT_NEAR(net.busy_seconds(), expect - 0.5, 1e-12);
   EXPECT_EQ(net.messages(), 1);
   EXPECT_EQ(net.bytes_on_wire(), bytes + 100);
   EXPECT_EQ(net.retries(), 0);
+  EXPECT_EQ(net.pending_fetches(), 1);
+  // Commit happens at wait, not post — the receive buffer is untouched
+  // until then, like a NIC receive ring.
+  EXPECT_EQ(dst[0], 0.0f);
+  EXPECT_DOUBLE_EQ(net.wait_fetch(posted.id), posted.completion);
+  EXPECT_EQ(dst, src);
+  EXPECT_EQ(net.pending_fetches(), 0);
+  // A handle is consumed by its wait.
+  EXPECT_THROW(net.wait_fetch(posted.id), std::invalid_argument);
 }
 
 TEST(InterconnectTest, ReceiverNicSerializesConcurrentSenders) {
@@ -270,16 +279,19 @@ TEST(InterconnectTest, ReceiverNicSerializesConcurrentSenders) {
   Interconnect net(3, cfg);
   std::vector<char> payload(1 << 16), sink(1 << 16);
   const double e1 =
-      net.transfer(0, 2, payload.data(), sink.data(), payload.size(), 0.0);
+      net.post_fetch(0, 2, payload.data(), sink.data(), payload.size(), 0.0)
+          .completion;
   // Same destination, same requested start: must queue behind the first.
   const double e2 =
-      net.transfer(1, 2, payload.data(), sink.data(), payload.size(), 0.0);
+      net.post_fetch(1, 2, payload.data(), sink.data(), payload.size(), 0.0)
+          .completion;
   EXPECT_GT(e2, e1);
   EXPECT_NEAR(e2 - e1, e1, 1e-12);  // identical message => identical cost
   // A message between two idle NICs at time 0 is not delayed.
   Interconnect fresh(3, cfg);
   const double e3 =
-      fresh.transfer(0, 1, payload.data(), sink.data(), payload.size(), 0.0);
+      fresh.post_fetch(0, 1, payload.data(), sink.data(), payload.size(), 0.0)
+          .completion;
   EXPECT_NEAR(e3, e1, 1e-12);
 }
 
@@ -298,35 +310,6 @@ TEST(InterconnectTest, AllreduceChargesTwoRingPhases) {
   }
   Interconnect one(1, cfg);
   EXPECT_DOUBLE_EQ(one.allreduce_time(buffer, 0.25), 0.25);
-}
-
-TEST(InterconnectTest, PostedFetchMatchesSynchronousTransfer) {
-  // post_fetch charges exactly the transfer() model — same NIC occupancy,
-  // same completion time, same busy accounting — it only defers the payload
-  // commit to wait_fetch.
-  InterconnectConfig cfg;
-  cfg.latency_us = 15.0;
-  std::vector<char> payload(1 << 14, 'p'), sync_out(1 << 14),
-      async_out(1 << 14);
-  Interconnect sync_net(2, cfg);
-  const double sync_end = sync_net.transfer(0, 1, payload.data(),
-                                            sync_out.data(), payload.size(),
-                                            0.5);
-  Interconnect async_net(2, cfg);
-  const auto posted = async_net.post_fetch(0, 1, payload.data(),
-                                           async_out.data(), payload.size(),
-                                           0.5);
-  EXPECT_DOUBLE_EQ(posted.completion, sync_end);
-  EXPECT_DOUBLE_EQ(async_net.busy_seconds(), sync_net.busy_seconds());
-  EXPECT_EQ(async_net.pending_fetches(), 1);
-  // Commit happens at wait, not post — the receive buffer is untouched
-  // until then, like a NIC receive ring.
-  EXPECT_EQ(async_out[0], 0);
-  EXPECT_DOUBLE_EQ(async_net.wait_fetch(posted.id), posted.completion);
-  EXPECT_EQ(async_out, payload);
-  EXPECT_EQ(async_net.pending_fetches(), 0);
-  // A handle is consumed by its wait.
-  EXPECT_THROW(async_net.wait_fetch(posted.id), std::invalid_argument);
 }
 
 TEST(InterconnectTest, DuplexNicOverlapsOppositeDirections) {
@@ -370,7 +353,8 @@ TEST(InterconnectTest, RejectsBadConfigAndNodes) {
   EXPECT_THROW(Interconnect(2, bad), std::invalid_argument);
   Interconnect net(2, {});
   char c = 0;
-  EXPECT_THROW(net.transfer(0, 2, &c, &c, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(net.post_fetch(0, 2, &c, &c, 1, 0.0), std::invalid_argument);
+  EXPECT_EQ(net.pending_fetches(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -617,24 +601,27 @@ TEST(ClusterTrainerTest, CacheCutsTrafficWithoutChangingLosses) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined step protocol (pipeline_depth >= 1)
+// Prefetch depth (pipeline_depth; 0 = empty window)
 // ---------------------------------------------------------------------------
 
-/// One protocol run's observables: everything that must be depth-invariant
-/// (losses, traffic) plus the simulated epoch time that must not be.
+/// One run's observables: everything that must be depth-invariant (losses,
+/// traffic) plus the simulated times that must not be.
 struct ProtocolRun {
   std::vector<double> losses;
   std::int64_t rows_fetched = 0;
   std::size_t feature_bytes = 0;
   double sim_epoch = 0;
   double overlap_saved = 0;
+  double stall = 0;
 };
 
 ProtocolRun run_protocol(int depth, int nodes, double cache_pct,
-                         CachePolicyKind policy, int epochs = 2) {
+                         CachePolicyKind policy, int epochs = 2,
+                         sim::Timeline* timeline = nullptr) {
   ClusterConfig cc = cluster_config(nodes, cache_pct, policy);
   cc.pipeline_depth = depth;
   ClusterTrainer t(cluster_dataset(), cc);
+  t.set_timeline(timeline);
   ProtocolRun run;
   for (int e = 0; e < epochs; ++e) {
     const auto r = t.train_epoch(e);
@@ -644,6 +631,7 @@ ProtocolRun run_protocol(int depth, int nodes, double cache_pct,
     run.feature_bytes += r.remote_feature_bytes;
     run.sim_epoch += r.sim_epoch_seconds;
     run.overlap_saved += r.overlap_saved_seconds;
+    run.stall += r.stall_seconds;
     EXPECT_TRUE(t.replicas_in_sync()) << "depth " << depth << " epoch " << e;
   }
   EXPECT_EQ(t.interconnect().pending_fetches(), 0)
@@ -651,43 +639,71 @@ ProtocolRun run_protocol(int depth, int nodes, double cache_pct,
   return run;
 }
 
-TEST(ClusterPipeline, AnyDepthMatchesBulkSynchronousBitwise) {
-  // The equivalence theorem of the pipelined protocol: overlap changes
-  // *when* fetches move on the virtual clock, never what is trained on.
-  // Losses and traffic are bitwise depth-invariant — including under the
-  // LRU policy, whose cache state depends on the plan order the two
-  // protocols must therefore share — while simulated epoch time strictly
-  // drops because fetches leave the critical path.
+TEST(ClusterPipeline, AnyDepthMatchesDepthZeroBitwise) {
+  // The equivalence theorem of prefetching: overlap changes *when* fetches
+  // move on the virtual clock, never what is trained on. Losses and traffic
+  // are bitwise depth-invariant — including under the LRU policy, whose
+  // cache state depends on the plan order every depth must therefore share
+  // — while simulated epoch time strictly drops because fetches leave the
+  // critical path. Overlap can hide at most the fetch time the empty window
+  // exposes.
   for (const auto policy :
        {CachePolicyKind::kPresample, CachePolicyKind::kLru}) {
-    const ProtocolRun bulk = run_protocol(0, 2, 0.05, policy);
-    EXPECT_DOUBLE_EQ(bulk.overlap_saved, 0.0);
+    const ProtocolRun none = run_protocol(0, 2, 0.05, policy);
+    EXPECT_DOUBLE_EQ(none.overlap_saved, 0.0);
+    EXPECT_GT(none.stall, 0.0);
     for (const int depth : {1, 2, 4}) {
       const ProtocolRun pipe = run_protocol(depth, 2, 0.05, policy);
-      EXPECT_EQ(pipe.losses, bulk.losses)
+      EXPECT_EQ(pipe.losses, none.losses)
           << "depth " << depth << " policy " << static_cast<int>(policy);
-      EXPECT_EQ(pipe.rows_fetched, bulk.rows_fetched);
-      EXPECT_EQ(pipe.feature_bytes, bulk.feature_bytes);
-      EXPECT_LT(pipe.sim_epoch, bulk.sim_epoch)
+      EXPECT_EQ(pipe.rows_fetched, none.rows_fetched);
+      EXPECT_EQ(pipe.feature_bytes, none.feature_bytes);
+      EXPECT_LT(pipe.sim_epoch, none.sim_epoch)
           << "overlap must shorten the simulated epoch (depth " << depth
           << ")";
+      EXPECT_GE(pipe.sim_epoch + none.stall, none.sim_epoch * (1 - 1e-12))
+          << "depth " << depth << " hid more than depth 0 exposed";
       EXPECT_GT(pipe.overlap_saved, 0.0);
     }
   }
 }
 
-TEST(ClusterPipeline, DepthZeroIsTheBulkSynchronousPath) {
-  // depth=0 dispatches to the exact pre-pipelining step protocol: no
-  // overlap accounting, no posted fetches, and the result says so.
-  ClusterConfig cc = cluster_config(2, 0.05);
-  cc.pipeline_depth = 0;
-  ClusterTrainer t(cluster_dataset(), cc);
-  const auto r = t.train_epoch(0);
-  EXPECT_EQ(r.pipeline_depth, 0);
-  EXPECT_DOUBLE_EQ(r.overlap_saved_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(r.stall_seconds, 0.0);
-  EXPECT_EQ(t.interconnect().pending_fetches(), 0);
-  EXPECT_GT(r.sim_epoch_seconds, 0.0);
+/// Strictly overlapping (start, end) pairs of node `p`'s compute spans and
+/// the messages it receives.
+int compute_fetch_overlaps(const sim::Timeline& tl, int p) {
+  const std::string compute = "node" + std::to_string(p) + ".compute";
+  const std::string rx = "net.rx" + std::to_string(p);
+  int overlaps = 0;
+  for (const auto& c : tl.spans()) {
+    if (c.lane != compute) continue;
+    for (const auto& m : tl.spans()) {
+      if (m.lane == rx && m.start < c.end && m.end > c.start) ++overlaps;
+    }
+  }
+  return overlaps;
+}
+
+TEST(ClusterPipeline, DepthZeroNeverOverlapsFetchesWithCompute) {
+  // The empty window is the no-overlap reference: every batch posts its own
+  // fetches at its step's start, so on the virtual clock no message a node
+  // receives is in flight while that node computes, and all fetch time is
+  // reported as stall. Any positive depth overlaps some.
+  sim::Timeline none_tl;
+  const ProtocolRun none = run_protocol(0, 2, 0.05,
+                                        CachePolicyKind::kPresample,
+                                        /*epochs=*/1, &none_tl);
+  EXPECT_DOUBLE_EQ(none.overlap_saved, 0.0);
+  EXPECT_GT(none.stall, 0.0);
+  EXPECT_GT(none.sim_epoch, none.stall / 2);  // per-node stalls, 2 nodes
+  sim::Timeline pipe_tl;
+  run_protocol(2, 2, 0.05, CachePolicyKind::kPresample, /*epochs=*/1,
+               &pipe_tl);
+  int pipe_overlaps = 0;
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(compute_fetch_overlaps(none_tl, p), 0) << "node " << p;
+    pipe_overlaps += compute_fetch_overlaps(pipe_tl, p);
+  }
+  EXPECT_GT(pipe_overlaps, 0);
 }
 
 TEST(ClusterPipeline, EveryDepthIsBitwiseReproducible) {
@@ -702,17 +718,18 @@ TEST(ClusterPipeline, EveryDepthIsBitwiseReproducible) {
     EXPECT_EQ(a.rows_fetched, b.rows_fetched) << "depth " << depth;
     EXPECT_DOUBLE_EQ(a.sim_epoch, b.sim_epoch) << "depth " << depth;
     EXPECT_DOUBLE_EQ(a.overlap_saved, b.overlap_saved) << "depth " << depth;
+    EXPECT_DOUBLE_EQ(a.stall, b.stall) << "depth " << depth;
   }
 }
 
 TEST(ClusterPipeline, FourNodeEquivalenceAndSpeedup) {
-  const ProtocolRun bulk =
+  const ProtocolRun none =
       run_protocol(0, 4, 0.05, CachePolicyKind::kPresample, /*epochs=*/1);
   const ProtocolRun pipe =
       run_protocol(2, 4, 0.05, CachePolicyKind::kPresample, /*epochs=*/1);
-  EXPECT_EQ(pipe.losses, bulk.losses);
-  EXPECT_EQ(pipe.feature_bytes, bulk.feature_bytes);
-  EXPECT_LT(pipe.sim_epoch, bulk.sim_epoch);
+  EXPECT_EQ(pipe.losses, none.losses);
+  EXPECT_EQ(pipe.feature_bytes, none.feature_bytes);
+  EXPECT_LT(pipe.sim_epoch, none.sim_epoch);
 }
 
 TEST(ClusterPipeline, RejectsNegativeDepthAndComputeRate) {

@@ -417,9 +417,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GradcheckShapeSweep,
 
 // --- cluster plan invariants over pipelined batch windows --------------------
 
-// Replays the pipelined ClusterTrainer's exact per-node planning order (the
-// epoch shuffle, per-chunk sampler seeds, and ascending batch order the two
-// step protocols share) and checks the structural invariants every in-flight
+// Replays ClusterTrainer's exact per-node planning order (the epoch
+// shuffle, per-chunk sampler seeds, and ascending batch order every depth
+// shares) and checks the structural invariants every in-flight
 // batch's transfer plan must satisfy regardless of policy or depth.
 TEST(ClusterPlanProperties, WindowPlansPartitionRowsAndNeverDoubleFetch) {
   DatasetConfig dc;

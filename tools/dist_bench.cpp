@@ -9,9 +9,9 @@
 // cross-node feature traffic falls as the replication cache grows,
 // frequency-informed placement (presample, degree) outperforms recency
 // (LRU), and pipelining the remaining fetches behind training compute
-// (overlap on, depth >= 1) cuts simulated epoch time below the
-// bulk-synchronous protocol (overlap off, depth 0) without perturbing a
-// single loss bit.
+// (overlap on, depth >= 1) cuts simulated epoch time below the empty
+// prefetch window (overlap off, depth 0) without perturbing a single loss
+// bit.
 //
 //   ./dist_bench [flags]
 //     --preset=skewed|uniform  degree skew of the synthetic graph  [skewed]
@@ -20,7 +20,7 @@
 //     --cache-pct=p1,p2,...    per-node cache fractions of |V|
 //                                                          [0,0.02,0.05,0.1]
 //     --policies=a,b,...       lru|degree|presample  [degree,presample,lru]
-//     --depths=a,b,...         pipeline depths; 0 = bulk-synchronous [0,2]
+//     --depths=a,b,...         pipeline depths; 0 = no prefetch     [0,2]
 //     --epochs=<n>             training epochs per configuration   [1]
 //     --emit=<path>            write machine-readable BENCH_dist.json
 //     --check                  exit nonzero unless the gate holds (see below)
@@ -37,8 +37,8 @@
 // never change the training trajectory. Across depths at every (nodes,
 // policy, capacity) point it additionally enforces (d) the overlap gate:
 // identical losses and remote bytes bit for bit, pipelined simulated epoch
-// time <= bulk-synchronous, and strictly below it whenever there is remote
-// traffic to hide.
+// time <= depth 0's, and strictly below it whenever there is remote traffic
+// to hide.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -134,8 +134,8 @@ DistBenchOptions parse_options(int argc, char** argv) {
     o.cache_pcts = {0.0, 0.05};
   }
   // Ascending capacities so the monotone-traffic check reads each curve in
-  // sweep order; ascending depths so depth 0 (the bulk-synchronous overlap
-  // baseline) is the first row of every on/off pair.
+  // sweep order; ascending depths so depth 0 (the no-overlap baseline) is
+  // the first row of every on/off pair.
   std::sort(o.cache_pcts.begin(), o.cache_pcts.end());
   std::sort(o.depths.begin(), o.depths.end());
   if (o.epochs < 1) {
@@ -273,7 +273,7 @@ int check_gate(const std::vector<DistResult>& rs) {
   };
 
   // Index results by (nodes, policy, depth) curve in sweep (ascending-pct)
-  // order — the capacity checks hold within every step protocol.
+  // order — the capacity checks hold at every depth.
   std::map<std::tuple<int, std::string, int>, std::vector<DistResult>> curves;
   for (const DistResult& r : rs) {
     curves[{r.nodes, r.policy, r.pipeline_depth}].push_back(r);
@@ -330,39 +330,39 @@ int check_gate(const std::vector<DistResult>& rs) {
   }
 
   // (d) the overlap gate: at every (nodes, policy, capacity) point a
-  // pipelined run reproduces the bulk-synchronous losses and remote bytes
-  // bit for bit, and its simulated epoch is never slower — strictly faster
+  // pipelined run reproduces the depth-0 losses and remote bytes bit for
+  // bit, and its simulated epoch is never slower — strictly faster
   // whenever there is remote traffic to hide behind compute.
-  std::map<std::tuple<int, std::string, double>, const DistResult*> bulk;
+  std::map<std::tuple<int, std::string, double>, const DistResult*> depth0;
   for (const DistResult& r : rs) {
-    if (r.pipeline_depth == 0) bulk[{r.nodes, r.policy, r.cache_pct}] = &r;
+    if (r.pipeline_depth == 0) depth0[{r.nodes, r.policy, r.cache_pct}] = &r;
   }
   for (const DistResult& r : rs) {
     if (r.pipeline_depth == 0) continue;
-    const auto it = bulk.find({r.nodes, r.policy, r.cache_pct});
-    if (it == bulk.end()) continue;  // no depth-0 row swept to compare to
+    const auto it = depth0.find({r.nodes, r.policy, r.cache_pct});
+    if (it == depth0.end()) continue;  // no depth-0 row swept to compare to
     const DistResult& b = *it->second;
     std::ostringstream tag;
     tag << r.nodes << "-node " << r.policy << " cache " << r.cache_pct * 100
         << "% depth " << r.pipeline_depth;
     if (r.mean_loss != b.mean_loss) {
-      fail(tag.str() + ": pipelined loss diverged from bulk-synchronous");
+      fail(tag.str() + ": pipelined loss diverged from depth 0");
     }
     if (r.remote_feature_bytes != b.remote_feature_bytes) {
-      fail(tag.str() + ": pipelined remote bytes diverged from bulk");
+      fail(tag.str() + ": pipelined remote bytes diverged from depth 0");
     }
     if (r.sim_epoch_seconds > b.sim_epoch_seconds) {
       std::ostringstream msg;
       msg << tag.str() << ": pipelined sim epoch "
           << std::setprecision(4) << r.sim_epoch_seconds
-          << " s exceeds bulk " << b.sim_epoch_seconds << " s";
+          << " s exceeds depth 0's " << b.sim_epoch_seconds << " s";
       fail(msg.str());
     }
     if (r.nodes > 1 && r.remote_feature_bytes > 0 &&
         r.sim_epoch_seconds >= b.sim_epoch_seconds) {
       std::ostringstream msg;
       msg << tag.str() << ": overlap hid nothing (pipelined "
-          << std::setprecision(4) << r.sim_epoch_seconds << " s, bulk "
+          << std::setprecision(4) << r.sim_epoch_seconds << " s, depth 0 "
           << b.sim_epoch_seconds << " s)";
       fail(msg.str());
     }
@@ -374,7 +374,7 @@ int check_gate(const std::vector<DistResult>& rs) {
   }
   std::cout << "dist_bench: OK — remote traffic monotone under growing "
                "replication; frequency-informed placement >= lru at every "
-               "swept capacity; pipelined epochs <= bulk-synchronous with "
+               "swept capacity; pipelined epochs <= depth 0 with "
                "bitwise-equal losses at every point\n";
   return 0;
 }
