@@ -77,8 +77,7 @@ int main() {
       cfg.hidden_channels = 16;
       cfg.batch_size = 512;
       cfg.num_workers = 2;
-      cfg.feature_cache_nodes =
-          frac_pct * dsc.graph.num_nodes() / 100;
+      cfg.cache_percentage = static_cast<double>(frac_pct) / 100.0;
       System sys(std::move(dsc), cfg);
       const EpochStats s = sys.train_epoch();
       t.add_row({std::to_string(frac_pct) + "% of nodes",

@@ -23,16 +23,17 @@ int main(int argc, char** argv) {
   cfg.train_fanouts = {10, 5};
   cfg.infer_fanouts = {20, 20};
   cfg.batch_size = 512;
-  // Keep the hottest ~10% of nodes' features resident on the device: only
-  // cache misses cross the PCIe link (paper §8 / GNS-style caching).
-  cfg.feature_cache_nodes = 676;
+  // Keep the hottest 10% of nodes' features (676 of 6,760) resident on the
+  // device: only cache misses cross the PCIe link (paper §8 / GNS-style
+  // caching).
+  cfg.cache_percentage = 0.1;
 
   // First session: train and checkpoint.
   double acc_before;
   {
     System sys(cfg);
     std::cout << "training " << epochs << " epochs with feature cache of "
-              << cfg.feature_cache_nodes << " nodes...\n";
+              << sys.trainer().feature_cache()->capacity() << " nodes...\n";
     for (int e = 0; e < epochs; ++e) {
       std::cout << sys.train_epoch().summary() << "\n";
     }

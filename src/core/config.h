@@ -32,13 +32,10 @@ struct SystemConfig {
   LoaderKind loader_kind = LoaderKind::kSalient;
   ExecutionMode execution = ExecutionMode::kPipelined;
 
-  /// When > 0, enable device feature caching of this many nodes (paper §8
-  /// future work; SALIENT loader paths only). Which nodes is decided by
-  /// `cache_policy`.
-  std::int64_t feature_cache_nodes = 0;
-  /// Cache capacity as a fraction of |V| in [0, 1]; the effective capacity
-  /// is max(feature_cache_nodes, cache_percentage * |V|). CLI form:
-  /// --cache-pct=<fraction>.
+  /// Device feature-cache capacity as a fraction of |V| in [0, 1] (paper §8
+  /// future work; SALIENT loader paths only). When > 0, the cache holds
+  /// cache_percentage * |V| rows (truncated); which rows is decided by
+  /// `cache_policy`. CLI form: --cache-pct=<fraction>.
   double cache_percentage = 0.0;
   /// Feature-cache placement policy: "degree" (default), "presample",
   /// "lru", or "auto" (docs/CACHING.md). CLI form: --cache-policy=<name>.

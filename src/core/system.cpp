@@ -69,7 +69,6 @@ void System::build() {
   tc.loader_kind = config_.loader_kind;
   tc.execution = config_.execution;
   tc.lr = config_.lr;
-  tc.feature_cache_nodes = config_.feature_cache_nodes;
   tc.loader.cache_policy = parse_cache_policy(config_.cache_policy);
   tc.loader.cache_percentage = config_.cache_percentage;
   tc.loader.feature_dtype = parse_feature_dtype(config_.feature_dtype);

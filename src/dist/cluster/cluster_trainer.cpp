@@ -9,13 +9,13 @@
 
 #include "dist/allreduce.h"
 #include "fault/failpoint.h"
-#include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prep/slicing.h"
 #include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 #include "tensor/ops.h"
+#include "train/trainer.h"
 #include "util/half.h"
 #include "util/timer.h"
 
@@ -111,61 +111,51 @@ void convert_fetched_rows(StepState& s, std::int64_t feat_dim) {
   }
 }
 
-/// Phase-C training math for one chunk: forward/backward, weighted gradient
-/// all-reduce (so the mean update equals the global-batch gradient), and the
-/// optimizer step. Independent of the pipeline depth — this is what makes
-/// losses bitwise depth-invariant.
-void train_chunk(StepState& s, nn::GnnModel& model,
-                 std::vector<Variable>& params, optim::Adam& opt,
-                 RingAllreduce& allreduce, int rank, int world,
-                 std::int64_t global_rows) {
-  double loss = 0;
-  if (s.rows > 0) {
-    Variable x(s.x, /*requires_grad=*/false);
-    Variable logp = model.forward(x, s.mfg);
-    Variable l = nn::nll_loss(logp, s.y);
-    model.zero_grad();
-    l.backward();
-    loss = static_cast<double>(l.data().data<float>()[0]);
-  } else {
-    model.zero_grad();  // zero contribution to the averaged gradient
+/// The cluster's gradient reduce (train_step's hook): weight this node's
+/// gradients so the all-reduce *mean* equals the global-batch gradient,
+/// sum_p (rows_p/B) * grad_p = (1/world) * sum_p flat_p, then write the mean
+/// back. Independent of the pipeline depth, which is what makes losses
+/// bitwise depth-invariant.
+void allreduce_gradients(const std::vector<Variable>& params,
+                         RingAllreduce& allreduce, int rank, float scale) {
+  std::size_t flat_size = 0;
+  for (const auto& p : params) {
+    flat_size += static_cast<std::size_t>(p.data().numel());
   }
-  s.loss = loss;
-  if (world > 1) {
-    // Weight so the all-reduce *mean* equals the global-batch gradient:
-    // sum_p (rows_p/B) * grad_p = (1/world) * sum_p flat_p.
-    const auto scale =
-        static_cast<float>(static_cast<double>(s.rows) *
-                           static_cast<double>(world) /
-                           static_cast<double>(global_rows));
-    std::size_t flat_size = 0;
-    for (const auto& p : params) {
-      flat_size += static_cast<std::size_t>(p.data().numel());
+  std::vector<float> flat(flat_size, 0.0f);
+  std::size_t off = 0;
+  for (const auto& p : params) {
+    const auto n = static_cast<std::size_t>(p.data().numel());
+    if (p.grad().defined()) {
+      const float* g = p.grad().data<float>();
+      for (std::size_t i = 0; i < n; ++i) flat[off + i] = g[i] * scale;
     }
-    std::vector<float> flat(flat_size, 0.0f);
-    std::size_t off = 0;
-    for (const auto& p : params) {
-      const auto n = static_cast<std::size_t>(p.data().numel());
-      if (p.grad().defined()) {
-        const float* g = p.grad().data<float>();
-        for (std::size_t i = 0; i < n; ++i) flat[off + i] = g[i] * scale;
-      }
-      off += n;
-    }
-    allreduce.run(rank, flat);
-    off = 0;
-    for (auto& p : params) {
-      const auto n = static_cast<std::size_t>(p.data().numel());
-      Tensor g(p.data().shape(), DType::kF32);
-      std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
-                flat.begin() + static_cast<std::ptrdiff_t>(off + n),
-                g.data<float>());
-      p.zero_grad();
-      p.accumulate_grad(g);
-      off += n;
-    }
+    off += n;
   }
-  opt.step();
+  allreduce.run(rank, flat);
+  off = 0;
+  for (auto p : params) {
+    const auto n = static_cast<std::size_t>(p.data().numel());
+    Tensor g(p.data().shape(), DType::kF32);
+    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
+              flat.begin() + static_cast<std::ptrdiff_t>(off + n),
+              g.data<float>());
+    p.zero_grad();
+    p.accumulate_grad(g);
+    off += n;
+  }
+}
+
+/// Nodes slice their shards and ship remote rows at f16 wire precision, so
+/// the store must be f16. Checked before partitioning and the cache warm-up
+/// rather than at the first epoch's read.
+const Dataset& require_f16_store(const Dataset& dataset) {
+  if (dataset.features.dtype() != DType::kF16) {
+    throw std::invalid_argument(
+        std::string("cluster: feature store must be f16, got ") +
+        dtype_name(dataset.features.dtype()));
+  }
+  return dataset;
 }
 
 /// Epoch-level straggler detection: relative to the median node, with an
@@ -192,7 +182,7 @@ void flag_stragglers(const ClusterConfig& config,
 }  // namespace
 
 ClusterTrainer::ClusterTrainer(const Dataset& dataset, ClusterConfig config)
-    : dataset_(dataset),
+    : dataset_(require_f16_store(dataset)),
       config_(std::move(config)),
       partition_(build_cluster_partition(dataset.graph, config_.partition)),
       net_(config_.partition.num_nodes, config_.net) {
@@ -345,7 +335,6 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
     auto& opt = *optimizers_[rankz];
     model.train(true);
     FastSampler sampler(dataset_.graph, config_.fanouts);
-    auto params = model.parameters();
     const RemoteFeatureCache& rcache = *caches_[rankz];
 
     // Drain this node's posted-but-unwaited fetches so an aborted epoch
@@ -464,8 +453,16 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
       for (const FetchId id : s.fetch_ids) net_.wait_fetch(id);
       s.fetch_ids.clear();
       convert_fetched_rows(s, feat_dim);
-      train_chunk(s, model, params, opt, allreduce, rank, world,
-                  std::min(total, (b + 1) * batch) - b * batch);
+      GradReduce reduce;
+      if (world > 1) {
+        const auto scale = static_cast<float>(
+            static_cast<double>(s.rows) * static_cast<double>(world) /
+            static_cast<double>(std::min(total, (b + 1) * batch) - b * batch));
+        reduce = [&allreduce, rank, scale](const std::vector<Variable>& ps) {
+          allreduce_gradients(ps, allreduce, rank, scale);
+        };
+      }
+      s.loss = train_step(model, opt, s.x, s.mfg, s.y, nullptr, reduce);
       node_secs[rankz] += t.seconds();
       bar.arrive_and_wait();
 

@@ -3,18 +3,23 @@
 //
 // Every cluster node is a thread owning a replica of the model, its
 // partition shard of the feature store, and a RemoteFeatureCache of hot
-// remote rows. Each global mini-batch of the epoch-shuffled training
-// schedule is split into per-node contiguous chunks (sampling/distributed.h
-// chunk_range). One step protocol runs every epoch (the SALIENT idea
-// applied across nodes): each node keeps a ring of depth+1 in-flight
-// batches; batch k+depth is sampled and its remote fetches posted on the
+// remote rows. This is the repository's one data-parallel trainer: with a
+// cache that holds every remote vertex (kDegree at cache_percentage 1.0) no
+// feature row crosses the interconnect, which is the paper's DDP setting.
+// Each global mini-batch of the epoch-shuffled training schedule is split
+// into per-node contiguous chunks (sampling/distributed.h chunk_range).
+// One step protocol runs every epoch (the SALIENT idea applied across
+// nodes): each node keeps a ring of depth+1 in-flight batches; batch
+// k+depth is sampled and its remote fetches posted on the
 // Interconnect (post_fetch) while batch k trains, and batch k's training
 // starts from its per-batch completion events (wait_fetch) — mirroring the
 // device-stream overlap in SalientLoader. pipeline_depth == 0 is the same
 // loop with an empty prefetch window: every batch posts its own fetches at
 // its step's start, so they sit on the simulated critical path in full (no
-// overlap). The allreduce stays at step boundaries, so the optimizer math —
-// and therefore every loss — is bitwise identical at any depth.
+// overlap). Each node trains with the single-node trainer's train_step,
+// whose gradient-reduce hook is the ring allreduce. The allreduce stays at
+// step boundaries, so the optimizer math — and therefore every loss — is
+// bitwise identical at any depth.
 //
 // The virtual clock charges a deterministic modelled compute cost per batch
 // (sim_train_us_per_input_row), which is the window pipelining hides
@@ -140,7 +145,8 @@ struct ClusterEpochResult {
 class ClusterTrainer {
  public:
   /// Build a cluster over `dataset` (borrowed; must outlive the trainer).
-  /// \throws std::invalid_argument on bad node counts or cache configs.
+  /// \throws std::invalid_argument on a feature store that is not f16, bad
+  /// node counts or cache configs.
   ClusterTrainer(const Dataset& dataset, ClusterConfig config);
 
   /// Run one synchronized epoch over the dataset's training split at the

@@ -4,20 +4,10 @@
 
 #include "prep/slicing.h"
 #include "sampling/baseline_sampler.h"
-#include "util/rng.h"
+#include "sampling/distributed.h"
 #include "util/thread_pool.h"
 
 namespace salient {
-
-namespace {
-
-std::uint64_t mix_seed(std::uint64_t seed, std::int64_t index) {
-  SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ull *
-                        static_cast<std::uint64_t>(index + 1)));
-  return sm.next();
-}
-
-}  // namespace
 
 BaselineLoader::BaselineLoader(const Dataset& dataset,
                                std::span<const NodeId> nodes,
@@ -27,12 +17,7 @@ BaselineLoader::BaselineLoader(const Dataset& dataset,
       config_(std::move(config)),
       pool_(pool ? std::move(pool) : std::make_shared<PinnedPool>()),
       epoch_nodes_(nodes.begin(), nodes.end()) {
-  if (config_.shuffle) {
-    Xoshiro256ss rng(config_.seed);
-    for (std::size_t i = epoch_nodes_.size(); i > 1; --i) {
-      std::swap(epoch_nodes_[i - 1], epoch_nodes_[bounded_rand(rng, i)]);
-    }
-  }
+  if (config_.shuffle) schedule_shuffle(epoch_nodes_, config_.seed);
   const auto n = static_cast<std::int64_t>(epoch_nodes_.size());
   num_batches_ = (n + config_.batch_size - 1) / config_.batch_size;
   num_workers_ = std::max(1, config_.num_workers);
@@ -64,7 +49,7 @@ void BaselineLoader::worker_loop(int worker_id) {
     const std::int64_t end = std::min(n, (b + 1) * config_.batch_size);
     const std::span<const NodeId> batch_nodes(
         epoch_nodes_.data() + begin, static_cast<std::size_t>(end - begin));
-    Mfg mfg = sampler.sample(batch_nodes, mix_seed(config_.seed, b));
+    Mfg mfg = sampler.sample(batch_nodes, schedule_mix_seed(config_.seed, b));
     // The IPC write: flatten the MFG into one buffer (worker-side copy).
     std::vector<std::int64_t> blob = serialize_mfg(mfg);
     if (!worker_queues_[static_cast<std::size_t>(worker_id)]->push(

@@ -10,21 +10,13 @@
 #include "obs/trace.h"
 #include "prep/feature_cache.h"
 #include "prep/frequency_table.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace salient {
 
 namespace {
-
-/// Same per-batch seed mixing as the loaders: warmup/probe MFGs depend only
-/// on (seed, batch index), never on worker scheduling.
-std::uint64_t mix_seed(std::uint64_t seed, std::int64_t index) {
-  SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ull *
-                        static_cast<std::uint64_t>(index + 1)));
-  return sm.next();
-}
 
 /// The vertex set a warmup/probe pass samples from (falls back to every
 /// vertex when the requested split is empty).
@@ -45,14 +37,6 @@ std::vector<NodeId> resolve_seeds(const Dataset& ds, PresampleSeeds which) {
     std::iota(out.begin(), out.end(), 0);
   }
   return out;
-}
-
-/// Deterministic epoch shuffle (the loader's Fisher-Yates, same seeding).
-void shuffle_nodes(std::vector<NodeId>& nodes, std::uint64_t seed) {
-  Xoshiro256ss rng(seed);
-  for (std::size_t i = nodes.size(); i > 1; --i) {
-    std::swap(nodes[i - 1], nodes[bounded_rand(rng, i)]);
-  }
 }
 
 /// Top-`capacity` vertices under `better` (a strict weak order over node
@@ -123,7 +107,7 @@ class PresamplePolicy final : public CachePolicy {
       SALIENT_TRACE_SCOPE("prep.cache.presample.epoch");
       const std::uint64_t epoch_seed =
           config_.seed * 0x10001ull + static_cast<std::uint64_t>(epoch) + 1;
-      shuffle_nodes(seeds, epoch_seed);
+      schedule_shuffle(seeds, epoch_seed);
 
       auto count_range = [&](std::int64_t begin, std::int64_t end) {
         FastSampler sampler(dataset.graph, config_.fanouts);
@@ -140,7 +124,7 @@ class PresamplePolicy final : public CachePolicy {
           const std::int64_t hi = std::min(total, lo + batch);
           const Mfg mfg = sampler.sample(
               {seeds.data() + lo, static_cast<std::size_t>(hi - lo)},
-              mix_seed(epoch_seed, b));
+              schedule_mix_seed(epoch_seed, b));
           for (const NodeId v : mfg.n_ids) freq.add(v);
           counted.fetch_add(1, std::memory_order_relaxed);
         }
@@ -280,7 +264,7 @@ class AutoPolicy final : public CachePolicy {
     // The fixed probe stream every candidate is measured against.
     std::vector<NodeId> seeds =
         resolve_seeds(dataset, config_.presample_seeds);
-    shuffle_nodes(seeds, config_.seed ^ 0xa070c4c8e5ull);
+    schedule_shuffle(seeds, config_.seed ^ 0xa070c4c8e5ull);
     const std::int64_t batch = std::max<std::int64_t>(1, config_.batch_size);
     const int probes = std::max(1, config_.auto_probe_batches);
 
@@ -302,7 +286,7 @@ class AutoPolicy final : public CachePolicy {
             std::min(seeds.size(), lo + static_cast<std::size_t>(batch));
         const Mfg mfg =
             sampler.sample({seeds.data() + lo, hi - lo},
-                           mix_seed(config_.seed ^ 0x5eedull, b));
+                           schedule_mix_seed(config_.seed ^ 0x5eedull, b));
         (void)plan_cached_batch(mfg, trial);
       }
       const auto dh = static_cast<double>(hits.value() - h0);

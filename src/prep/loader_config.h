@@ -38,11 +38,11 @@ struct LoaderConfig {
 
   /// Device feature-cache placement policy (the `--cache-policy` CLI knob;
   /// see CachePolicyKind and docs/CACHING.md). Only consulted when a cache
-  /// is enabled (cache_percentage > 0 or an owner-provided capacity).
+  /// is enabled (cache_percentage > 0).
   CachePolicyKind cache_policy = CachePolicyKind::kDegree;
   /// Device feature-cache capacity as a fraction of |V| in [0, 1]
-  /// (the `--cache-pct` CLI knob). 0 disables the cache unless the owner
-  /// specifies an absolute capacity (e.g. TrainConfig::feature_cache_nodes).
+  /// (the `--cache-pct` CLI knob); the cache holds cache_percentage * |V|
+  /// rows, truncated. 0 disables the cache.
   double cache_percentage = 0.0;
   /// Presample policy: warmup sampling epochs K (>= 1; see
   /// CachePolicyConfig::presample_epochs).

@@ -6,18 +6,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
-#include "util/rng.h"
 
 namespace salient {
 
 namespace {
-
-std::uint64_t mix_seed(std::uint64_t seed, std::int64_t index) {
-  SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ull *
-                        static_cast<std::uint64_t>(index + 1)));
-  return sm.next();
-}
 
 /// Idle backoff while the input queue reports empty but batches remain
 /// outstanding (claimed by other workers, or a transient injected miss).
@@ -43,12 +37,7 @@ SalientLoader::SalientLoader(const Dataset& dataset,
       output_queue_(config_.queue_capacity) {
   input_queue_.set_fault_site("prep_in");
   output_queue_.set_fault_site("prep_out");
-  if (config_.shuffle) {
-    Xoshiro256ss rng(config_.seed);
-    for (std::size_t i = epoch_nodes_.size(); i > 1; --i) {
-      std::swap(epoch_nodes_[i - 1], epoch_nodes_[bounded_rand(rng, i)]);
-    }
-  }
+  if (config_.shuffle) schedule_shuffle(epoch_nodes_, config_.seed);
   const auto n = static_cast<std::int64_t>(epoch_nodes_.size());
   num_batches_ = (n + config_.batch_size - 1) / config_.batch_size;
   pending_.store(num_batches_, std::memory_order_relaxed);
@@ -147,8 +136,8 @@ void SalientLoader::worker_loop(int worker_index) {
     batch.index = desc.index;
     {
       SALIENT_TRACE_SCOPE_ARG("prep.sample", desc.index);
-      batch.mfg =
-          sampler.sample(batch_nodes, mix_seed(config_.seed, desc.index));
+      batch.mfg = sampler.sample(batch_nodes,
+                                 schedule_mix_seed(config_.seed, desc.index));
     }
 
     // 2. Serial slicing directly into pinned staging buffers. With a device

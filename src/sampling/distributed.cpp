@@ -38,10 +38,7 @@ double estimate_sampling_comm_fraction(const CsrGraph& graph,
                                                 fanouts.end()));
   // Sample batches from a shuffled copy of the node list.
   std::vector<NodeId> pool(nodes.begin(), nodes.end());
-  Xoshiro256ss rng(seed);
-  for (std::size_t i = pool.size(); i > 1; --i) {
-    std::swap(pool[i - 1], pool[bounded_rand(rng, i)]);
-  }
+  schedule_shuffle(pool, seed);
   double sum = 0;
   int measured = 0;
   for (int b = 0; b < num_batches; ++b) {

@@ -49,18 +49,21 @@ struct ChunkRange {
 /// sees the true per-node workload.
 ChunkRange chunk_range(std::int64_t rows, int num_nodes, int node);
 
-/// The loaders' per-batch seed mixing (prep/salient_loader.cpp): SplitMix64
-/// over seed ^ golden-ratio * (index + 1). The cluster trainer seeds chunk
-/// (batch, node) pairs with index = batch * num_nodes + node, which at one
-/// node collapses to the single-node loader's per-batch seed — the keystone
-/// of the 1-node bitwise-parity guarantee (docs/DISTRIBUTED.md). The remote
-/// presample warmup uses the same mixing so it counts the exact expansions
-/// training will sample.
+/// The per-batch sampler seed, SplitMix64 over seed ^ golden-ratio *
+/// (index + 1); the only one in the library. Both loaders, the cache-policy
+/// warmups, the inference server and the cluster trainer seed batch
+/// `index` with it, so sampled MFGs depend on (seed, index) alone, never on
+/// worker scheduling. The cluster trainer seeds chunk (batch, node) pairs
+/// with index = batch * num_nodes + node, which at one node collapses to the
+/// single-node loader's per-batch seed — the keystone of the 1-node
+/// bitwise-parity guarantee (docs/DISTRIBUTED.md). The presample warmups use
+/// the same mixing so they count the exact expansions training will sample.
 std::uint64_t schedule_mix_seed(std::uint64_t seed, std::int64_t index);
 
-/// The loaders' deterministic epoch shuffle (Fisher-Yates over
-/// Xoshiro256ss(seed)); same algorithm and seeding as SalientLoader, for the
-/// same parity reason as schedule_mix_seed.
+/// The deterministic epoch shuffle (Fisher-Yates over Xoshiro256ss(seed));
+/// the only one in the library, shared by the loaders, the cache-policy
+/// warmups and the cluster trainer for the same parity reason as
+/// schedule_mix_seed.
 void schedule_shuffle(std::vector<NodeId>& nodes, std::uint64_t seed);
 
 /// Group an MFG's input rows by owning partition: result[q] holds the

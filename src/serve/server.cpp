@@ -8,21 +8,13 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 #include "tensor/ops.h"
-#include "util/rng.h"
 
 namespace salient::serve {
 
 namespace {
-
-/// Same per-batch seed mixing as the training loader: predictions depend on
-/// the batch sequence number only, never on worker scheduling.
-std::uint64_t mix_seed(std::uint64_t seed, std::int64_t index) {
-  SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ull *
-                        static_cast<std::uint64_t>(index + 1)));
-  return sm.next();
-}
 
 double us_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -217,7 +209,8 @@ void InferenceServer::prep_loop(int worker_index) {
     cb.prep.index = cb.seq;
     {
       SALIENT_TRACE_SCOPE_ARG("serve.sample", cb.seq);
-      cb.prep.mfg = sampler.sample(cb.nodes, mix_seed(config_.seed, cb.seq));
+      cb.prep.mfg =
+          sampler.sample(cb.nodes, schedule_mix_seed(config_.seed, cb.seq));
     }
     {
       SALIENT_TRACE_SCOPE_ARG("serve.slice", cb.seq);

@@ -21,11 +21,9 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
       config_(std::move(config)),
       optimizer_(model_->parameters(), config_.lr),
       pool_(std::make_shared<PinnedPool>()) {
-  const auto pct_nodes = static_cast<std::int64_t>(
+  const auto cache_nodes = static_cast<std::int64_t>(
       config_.loader.cache_percentage *
       static_cast<double>(dataset_.graph.num_nodes()));
-  const std::int64_t cache_nodes =
-      std::max(config_.feature_cache_nodes, pct_nodes);
   if (cache_nodes > 0) {
     // The warmup/probe sampling of the presample and auto policies mirrors
     // the training workload: same fanouts, batch size, and seed family.
@@ -42,16 +40,23 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
   }
 }
 
-double Trainer::train_step(const DeviceBatch& batch, double* accuracy) {
-  Variable x(batch.x_f32, /*requires_grad=*/false);
-  Variable logp = model_->forward(x, batch.mfg);
-  Variable loss = nn::nll_loss(logp, batch.y);
-  model_->zero_grad();
-  loss.backward();
-  optimizer_.step();
-  if (accuracy != nullptr) {
-    *accuracy = ops::accuracy(logp.data(), batch.y);
+double train_step(nn::GnnModel& model, optim::Adam& optimizer,
+                  const Tensor& x, const Mfg& mfg, const Tensor& y,
+                  double* accuracy, const GradReduce& reduce) {
+  if (mfg.batch_size == 0) {
+    model.zero_grad();
+    if (reduce) reduce(optimizer.params());
+    optimizer.step();
+    if (accuracy != nullptr) *accuracy = 0;
+    return 0;
   }
+  Variable logp = model.forward(Variable(x, /*requires_grad=*/false), mfg);
+  Variable loss = nn::nll_loss(logp, y);
+  model.zero_grad();
+  loss.backward();
+  if (reduce) reduce(optimizer.params());
+  optimizer.step();
+  if (accuracy != nullptr) *accuracy = ops::accuracy(logp.data(), y);
   return static_cast<double>(loss.data().data<float>()[0]);
 }
 
@@ -119,7 +124,7 @@ EpochStats Trainer::run_blocking(Loader& loader, int epoch) {
     t.reset();
     double acc = 0, loss = 0;
     device_.compute_stream().enqueue([this, &dev, &acc, &loss] {
-      loss = train_step(dev, &acc);
+      loss = train_step(*model_, optimizer_, dev.x_f32, dev.mfg, dev.y, &acc);
     }, "train.step");
     {
       SALIENT_TRACE_SCOPE_ARG("train.wait", dev.index);
@@ -169,7 +174,10 @@ EpochStats Trainer::run_replay(int epoch) {
     t.reset();
     double acc = 0, loss = 0;
     device_.compute_stream().enqueue(
-        [this, &dev, &acc, &loss] { loss = train_step(dev, &acc); },
+        [this, &dev, &acc, &loss] {
+          loss = train_step(*model_, optimizer_, dev.x_f32, dev.mfg, dev.y,
+                            &acc);
+        },
         "train.step");
     device_.compute_stream().synchronize();
     stats.blocking.add(Phase::kTrain, t.seconds());
@@ -338,7 +346,8 @@ EpochStats Trainer::run_pipelined(int epoch, const LoaderConfig& epoch_cfg) {
     auto result = item.result;
     device_.compute_stream().enqueue([this, dev, result] {
       double acc = 0;
-      result->first = train_step(*dev, &acc);
+      result->first = train_step(*model_, optimizer_, dev->x_f32, dev->mfg,
+                                 dev->y, &acc);
       result->second = acc;
     }, "train.step");
     item.train_done = device_.compute_stream().record();

@@ -15,7 +15,9 @@
 // depth. Pinned staging buffers are recycled once their copies completed.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "device/device_sim.h"
 #include "graph/dataset.h"
@@ -27,6 +29,22 @@
 
 namespace salient {
 
+/// Gradient-reduce hook of train_step: runs between backward and the
+/// optimizer step over the optimizer's parameters. A data-parallel trainer
+/// all-reduces their gradients here.
+using GradReduce = std::function<void(const std::vector<Variable>& params)>;
+
+/// One optimizer step on one batch, the training math every trainer shares:
+/// forward, NLL loss, zero_grad, backward, `reduce` (when set), then
+/// `optimizer.step()`. An empty batch (`mfg.batch_size == 0`, e.g. a cluster
+/// node's share of a short final batch) contributes zero gradients: it only
+/// zeroes them before the reduce and the step. Returns the batch's mean loss
+/// (0 for an empty batch); `accuracy`, when non-null, receives the batch's
+/// training accuracy.
+double train_step(nn::GnnModel& model, optim::Adam& optimizer,
+                  const Tensor& x, const Mfg& mfg, const Tensor& y,
+                  double* accuracy = nullptr, const GradReduce& reduce = {});
+
 enum class LoaderKind { kBaseline, kSalient };
 enum class ExecutionMode { kBlocking, kPipelined };
 
@@ -37,10 +55,6 @@ struct TrainConfig {
   double lr = 3e-3;
   /// Maximum device batches in flight in pipelined mode.
   int pipeline_depth = 2;
-  /// When > 0, keep the features of this many highest-degree nodes resident
-  /// on the device and transfer only cache misses (paper §8 feature
-  /// caching). Applies to the SALIENT loader paths.
-  std::int64_t feature_cache_nodes = 0;
   /// Lazy sampling schedule (LazyGCN, Ramezani et al. 2020; paper §2.2):
   /// sample fresh mini-batches every `sampling_period` epochs and replay the
   /// stored batches (reshuffled) in between, trading sampling freshness for
@@ -89,9 +103,6 @@ class Trainer {
   EpochStats run_pipelined(int epoch, const LoaderConfig& epoch_cfg);
   /// Replay the lazily cached epoch (no sampling/slicing; LazyGCN schedule).
   EpochStats run_replay(int epoch);
-
-  /// Forward/backward/step for one device-resident batch; returns loss.
-  double train_step(const DeviceBatch& batch, double* accuracy);
 
   const Dataset& dataset_;
   std::shared_ptr<nn::GnnModel> model_;

@@ -519,6 +519,24 @@ TEST(ClusterTrainerTest, OneNodeMatchesSingleNodeTrainerBitwise) {
   }
 }
 
+TEST(ClusterTrainerTest, RejectsNonF16FeatureStoreAtConstruction) {
+  DatasetConfig c;
+  c.num_nodes = 500;
+  c.feature_dim = 16;
+  c.num_classes = 5;
+  c.feature_dtype = DType::kF32;
+  const Dataset f32 = generate_dataset(c);
+  ClusterConfig cc = cluster_config(2);
+  cc.model.in_channels = f32.feature_dim;
+  try {
+    ClusterTrainer t(f32, cc);
+    FAIL() << "an f32 feature store must be rejected at construction";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("f16"), std::string::npos)
+        << "the error must name the required dtype: " << e.what();
+  }
+}
+
 TEST(ClusterTrainerTest, FixedSeedAndNodeCountIsDeterministic) {
   const Dataset& ds = cluster_dataset();
   auto run = [&] {

@@ -38,7 +38,7 @@ TEST(SystemConfig, BaselineModeEnablesTransferValidation) {
 
 TEST(SystemConfig, FeatureCachePropagatesToTrainer) {
   SystemConfig cfg = small_cfg();
-  cfg.feature_cache_nodes = 100;
+  cfg.cache_percentage = 0.0296;  // 100 of arxiv-sim@0.02's 3,380 nodes
   System sys(cfg);
   ASSERT_NE(sys.trainer().feature_cache(), nullptr);
   EXPECT_EQ(sys.trainer().feature_cache()->capacity(), 100);

@@ -1,13 +1,13 @@
 // Distributed-training tests: ring all-reduce correctness under various
-// world sizes and buffer lengths (TEST_P), and the DDP invariants — replicas
-// stay bit-identical, training distributes the epoch, loss decreases.
+// world sizes and buffer lengths (TEST_P), and data-parallel training as a
+// fully replicated ClusterTrainer — no remote fetches, losses bitwise equal
+// to the partitioned run, replicas bit-identical, loss decreases.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 
 #include "dist/allreduce.h"
-#include "dist/ddp.h"
+#include "dist/cluster/cluster_trainer.h"
 #include "graph/dataset.h"
 #include "train/inference.h"
 
@@ -76,10 +76,10 @@ TEST(Allreduce, RepeatedRoundsStayConsistent) {
   }
 }
 
-Dataset& ddp_dataset() {
+Dataset& dp_dataset() {
   static Dataset ds = [] {
     DatasetConfig c;
-    c.name = "ddp-test";
+    c.name = "dp-test";
     c.num_nodes = 5000;
     c.feature_dim = 16;
     c.num_classes = 4;
@@ -94,63 +94,70 @@ Dataset& ddp_dataset() {
   return ds;
 }
 
-DdpConfig ddp_config(int world) {
-  const Dataset& ds = ddp_dataset();
-  DdpConfig cfg;
-  cfg.world_size = world;
+constexpr std::int64_t kReplicaBatch = 128;
+
+/// Data-parallel training over `world` replicas is a ClusterTrainer whose
+/// replication cache holds every remote vertex: each replica trains its
+/// kReplicaBatch-row chunk of a world x kReplicaBatch global batch.
+dist::ClusterConfig dp_config(int world, double cache_pct = 1.0) {
+  const Dataset& ds = dp_dataset();
+  dist::ClusterConfig cfg;
+  cfg.partition.num_nodes = world;
+  cfg.cache.policy = CachePolicyKind::kDegree;
+  cfg.cache.cache_percentage = cache_pct;
   cfg.arch = "sage";
   cfg.model.in_channels = ds.feature_dim;
   cfg.model.hidden_channels = 24;
   cfg.model.out_channels = ds.num_classes;
   cfg.model.num_layers = 2;
   cfg.model.seed = 3;
-  cfg.loader.batch_size = 128;
-  cfg.loader.fanouts = {6, 4};
-  cfg.loader.seed = 17;
+  cfg.batch_size = world * kReplicaBatch;
+  cfg.fanouts = {6, 4};
+  cfg.seed = 17;
   cfg.lr = 5e-3;
   return cfg;
 }
 
-TEST(Ddp, ReplicasStartAndStayInSync) {
-  DdpTrainer trainer(ddp_dataset(), ddp_config(3));
-  EXPECT_TRUE(trainer.replicas_in_sync());  // identical init
-  auto r = trainer.train_epoch(0);
-  EXPECT_TRUE(trainer.replicas_in_sync()) << "diverged after epoch";
-  EXPECT_GT(r.batches_per_replica, 0);
-  EXPECT_TRUE(std::isfinite(r.mean_loss));
+TEST(DataParallel, FullReplicationFetchesNothingAndMatchesPartitioned) {
+  const Dataset& ds = dp_dataset();
+  const auto train = static_cast<std::int64_t>(ds.train_idx.size());
+  for (const int world : {2, 4}) {
+    dist::ClusterTrainer replicated(ds, dp_config(world));
+    dist::ClusterTrainer partitioned(ds, dp_config(world, 0.05));
+    EXPECT_TRUE(replicated.replicas_in_sync()) << "identical init";
+    double first = 0, last = 0;
+    for (int e = 0; e < 5; ++e) {
+      const auto r = replicated.train_epoch(e);
+      const auto p = partitioned.train_epoch(e);
+      EXPECT_EQ(r.num_steps,
+                (train + world * kReplicaBatch - 1) / (world * kReplicaBatch))
+          << "each replica trains a kReplicaBatch chunk per global step";
+      EXPECT_EQ(r.remote_feature_bytes, 0u) << world << " replicas, epoch "
+                                            << e;
+      EXPECT_EQ(r.remote_misses, 0);
+      EXPECT_GT(r.remote_hits, 0) << "remote rows are served locally";
+      EXPECT_GT(p.remote_feature_bytes, 0u);
+      EXPECT_EQ(r.mean_loss, p.mean_loss)
+          << "replication must not change what is computed (" << world
+          << " replicas, epoch " << e << ")";
+      EXPECT_TRUE(replicated.replicas_in_sync())
+          << world << " replicas diverged after epoch " << e;
+      if (e == 0) first = r.mean_loss;
+      last = r.mean_loss;
+    }
+    EXPECT_LT(last, first) << world << " replicas must learn";
+
+    const std::vector<std::int64_t> fanouts{8, 8};
+    const double acc = evaluate_sampled(*replicated.replica(0), ds,
+                                        ds.test_idx, fanouts, 256, 5)
+                           .accuracy;
+    EXPECT_GT(acc, 2.0 / static_cast<double>(ds.num_classes))
+        << "replica 0 must beat twice chance";
+  }
 }
 
-TEST(Ddp, ShardsEpochAcrossReplicas) {
-  DdpTrainer t1(ddp_dataset(), ddp_config(1));
-  DdpTrainer t4(ddp_dataset(), ddp_config(4));
-  const auto r1 = t1.train_epoch(0);
-  const auto r4 = t4.train_epoch(0);
-  // 4 replicas each process ~1/4 the batches of the single replica.
-  EXPECT_NEAR(static_cast<double>(r4.batches_per_replica),
-              static_cast<double>(r1.batches_per_replica) / 4.0, 1.0);
-}
-
-TEST(Ddp, TrainingConvergesWithMultipleReplicas) {
-  DdpTrainer trainer(ddp_dataset(), ddp_config(2));
-  const auto first = trainer.train_epoch(0);
-  DdpEpochResult last{};
-  for (int e = 1; e < 5; ++e) last = trainer.train_epoch(e);
-  EXPECT_LT(last.mean_loss, first.mean_loss);
-  EXPECT_TRUE(trainer.replicas_in_sync());
-
-  // replica 0's model predicts better than chance
-  const std::vector<std::int64_t> fanouts{8, 8};
-  auto acc = evaluate_sampled(*trainer.replica(0), ddp_dataset(),
-                              ddp_dataset().test_idx, fanouts, 256, 5)
-                 .accuracy;
-  EXPECT_GT(acc, 0.45);  // chance = 0.25
-}
-
-TEST(Ddp, RejectsBadConfig) {
-  EXPECT_THROW(DdpTrainer(ddp_dataset(), [&] {
-                 auto c = ddp_config(0);
-                 return c;
-               }()),
+TEST(DataParallel, RejectsZeroReplicas) {
+  EXPECT_THROW(dist::ClusterTrainer(dp_dataset(), dp_config(0)),
                std::invalid_argument);
 }
 

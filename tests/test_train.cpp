@@ -218,12 +218,16 @@ TEST(Trainer, FeatureCachedTrainingMatchesUncachedExactly) {
   // seeds, training with and without it must produce bit-identical models
   // while moving fewer bytes over the (simulated) PCIe link.
   const Dataset& ds = train_dataset();
-  auto run = [&](std::int64_t cache_nodes, std::size_t* bytes) {
+  auto run = [&](double cache_pct, std::size_t* bytes) {
     auto model = nn::make_model("sage", model_config(ds));
     DeviceSim device;
     TrainConfig tc = train_config();
-    tc.feature_cache_nodes = cache_nodes;
+    tc.loader.cache_percentage = cache_pct;
     Trainer trainer(ds, model, device, tc);
+    if (cache_pct > 0) {
+      EXPECT_EQ(trainer.feature_cache()->capacity(),
+                ds.graph.num_nodes() / 4);
+    }
     trainer.train_epoch(0);
     trainer.train_epoch(1);
     if (bytes != nullptr) *bytes = device.dma().bytes_transferred();
@@ -231,7 +235,7 @@ TEST(Trainer, FeatureCachedTrainingMatchesUncachedExactly) {
   };
   std::size_t bytes_plain = 0, bytes_cached = 0;
   auto plain = run(0, &bytes_plain);
-  auto cached = run(ds.graph.num_nodes() / 4, &bytes_cached);
+  auto cached = run(0.25, &bytes_cached);
   const auto pa = plain->parameters();
   const auto pb = cached->parameters();
   ASSERT_EQ(pa.size(), pb.size());
