@@ -8,17 +8,109 @@
 
 namespace salient {
 
+namespace {
+
+/// Convert `n` wire rows of `rows`, starting at `first`, to f32 at `dst`:
+/// f16 bulk up-conversion, a plain copy for f32, or per-row int8 affine
+/// dequantization with the scale/zero sidecars that rode the same DMA.
+void convert_rows(const Tensor& rows, const Tensor& scale, const Tensor& zero,
+                  std::int64_t first, std::int64_t n, float* dst) {
+  const std::int64_t f = rows.size(1);
+  switch (rows.dtype()) {
+    case DType::kF16:
+      half_to_float_n(rows.data<Half>() + first * f, dst,
+                      static_cast<std::size_t>(n * f));
+      break;
+    case DType::kF32:
+      std::memcpy(dst, rows.data<float>() + first * f,
+                  static_cast<std::size_t>(n * f) * sizeof(float));
+      break;
+    case DType::kInt8Q: {
+      const std::int8_t* q = rows.data<std::int8_t>();
+      const float* ps = scale.data<float>();
+      const float* pz = zero.data<float>();
+      for (std::int64_t i = first; i < first + n; ++i) {
+        ops::dequantize_row(q + i * f, f, ps[i], pz[i], dst);
+        dst += f;
+      }
+      break;
+    }
+    default:
+      break;  // rejected by assemble_features
+  }
+}
+
+}  // namespace
+
+void assemble_features(const Tensor& rows, const Tensor& scale,
+                       const Tensor& zero, const CachePlan* plan,
+                       const Tensor& cache_rows, Tensor& out) {
+  const DType wire = rows.dtype();
+  if (wire != DType::kF16 && wire != DType::kF32 && wire != DType::kInt8Q) {
+    throw std::invalid_argument("assemble_features: unsupported wire dtype");
+  }
+  if (wire == DType::kInt8Q && (!scale.defined() || !zero.defined())) {
+    throw std::invalid_argument(
+        "assemble_features: i8q rows need scale/zero sidecars");
+  }
+  float* dst = out.data<float>();
+  if (plan == nullptr) {
+    convert_rows(rows, scale, zero, 0, rows.size(0), dst);
+    return;
+  }
+  // Hit rows come from the plan's snapshot (dynamic policies) or the cache's
+  // immutable resident matrix (static policies).
+  const Tensor& hits = plan->hit_rows.defined() ? plan->hit_rows : cache_rows;
+  const std::int64_t f = out.size(1);
+  for (std::size_t i = 0; i < plan->from_cache.size(); ++i) {
+    float* row = dst + static_cast<std::int64_t>(i) * f;
+    if (plan->from_cache[i]) {
+      std::memcpy(row, hits.data<float>() + plan->source[i] * f,
+                  static_cast<std::size_t>(f) * sizeof(float));
+    } else {
+      convert_rows(rows, scale, zero, plan->source[i], 1, row);
+    }
+  }
+}
+
 DeviceSim::DeviceSim(DeviceConfig config)
     : config_(config),
       dma_(config.dma),
       compute_("compute" + std::to_string(config.device_id)),
       copy_("copy" + std::to_string(config.device_id)) {}
 
-void DeviceSim::enqueue_common_transfers(const PreparedBatch& batch,
-                                         bool pinned, DeviceBatch& out) {
+DeviceBatch DeviceSim::transfer_batch(const PreparedBatch& batch,
+                                      bool blocking, Event* ready) {
+  return transfer(batch, nullptr, Tensor(), blocking, ready);
+}
+
+DeviceBatch DeviceSim::transfer_batch_cached(const PreparedBatch& batch,
+                                             const CachePlan& plan,
+                                             const FeatureCache& cache,
+                                             bool blocking, Event* ready) {
+  if (batch.x.size(0) != plan.num_missing) {
+    throw std::invalid_argument(
+        "transfer_batch_cached: batch.x must hold the plan's missing rows");
+  }
+  if (plan.from_cache.size() != batch.mfg.n_ids.size()) {
+    throw std::invalid_argument("transfer_batch_cached: plan size mismatch");
+  }
+  // Copy the plan: the caller's plan may die before the stream runs. For
+  // dynamic policies this also keeps the hit-row snapshot alive, so later
+  // evictions cannot corrupt this in-flight batch.
+  return transfer(batch, std::make_shared<const CachePlan>(plan),
+                  cache.features(), blocking, ready);
+}
+
+DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
+                                std::shared_ptr<const CachePlan> plan,
+                                Tensor cache_rows, bool blocking,
+                                Event* ready) {
+  DeviceBatch out;
   out.index = batch.index;
   out.mfg.batch_size = batch.mfg.batch_size;
   out.mfg.n_ids = batch.mfg.n_ids;  // kept host-side (IDs are metadata)
+  const bool pinned = batch.x.pinned();
 
   // Adjacency: one DMA per level array, as PyG transfers each sparse tensor.
   out.mfg.levels.reserve(batch.mfg.levels.size());
@@ -57,57 +149,10 @@ void DeviceSim::enqueue_common_transfers(const PreparedBatch& batch,
   copy_.enqueue([this, y_dev, y_host, pinned]() mutable {
     dma_.copy(y_dev.raw(), y_host.raw(), y_host.nbytes(), pinned);
   }, "h2d.labels");
-}
 
-namespace {
-
-/// Device-side decompression of transferred feature rows into the f32
-/// compute copy: f16 bulk up-conversion, per-row int8 affine dequantization
-/// (using the scale/zero sidecars that rode the same DMA), or a plain copy
-/// for f32 wires.
-void convert_features(const Tensor& src, const Tensor& scale,
-                      const Tensor& zero, Tensor& dst) {
-  switch (src.dtype()) {
-    case DType::kF16:
-      half_to_float_n(src.data<Half>(), dst.data<float>(),
-                      static_cast<std::size_t>(src.numel()));
-      break;
-    case DType::kInt8Q: {
-      if (!scale.defined() || !zero.defined()) {
-        throw std::invalid_argument(
-            "convert_features: i8q rows need scale/zero sidecars");
-      }
-      const std::int64_t rows = src.size(0);
-      const std::int64_t f = src.size(1);
-      const std::int8_t* q = src.data<std::int8_t>();
-      const float* ps = scale.data<float>();
-      const float* pz = zero.data<float>();
-      float* pd = dst.data<float>();
-      for (std::int64_t i = 0; i < rows; ++i) {
-        ops::dequantize_row(q + i * f, f, ps[i], pz[i], pd + i * f);
-      }
-      break;
-    }
-    case DType::kF32:
-      std::memcpy(dst.raw(), src.raw(), src.nbytes());
-      break;
-    default:
-      throw std::invalid_argument("convert_features: unsupported wire dtype");
-  }
-}
-
-}  // namespace
-
-DeviceBatch DeviceSim::transfer_batch(const PreparedBatch& batch,
-                                      bool blocking, Event* ready) {
-  DeviceBatch out;
-  const bool pinned = batch.x.pinned();
-  enqueue_common_transfers(batch, pinned, out);
-
-  // Features: DMA the wire-format rows (f16 / f32 / per-row int8, plus the
-  // int8 scale/zero sidecars), then decompress to f32 on the compute stream
-  // ("GPU training computations are still done in single precision", §3).
-  Tensor x_wire_dev(batch.x.shape(), batch.x.dtype());
+  // Features: DMA the wire-format rows (every input row, or only the plan's
+  // missing rows; f16 / f32 / per-row int8 plus its scale/zero sidecars).
+  Tensor x_dev(batch.x.shape(), batch.x.dtype());
   Tensor scale_dev, zero_dev;
   if (batch.x_scale.defined()) {
     scale_dev = Tensor(batch.x_scale.shape(), batch.x_scale.dtype());
@@ -116,118 +161,32 @@ DeviceBatch DeviceSim::transfer_batch(const PreparedBatch& batch,
   const Tensor x_host = batch.x;
   const Tensor scale_host = batch.x_scale;
   const Tensor zero_host = batch.x_zero;
-  Tensor x_wire_copy = x_wire_dev;  // shared storage alias for the lambda
-  Tensor scale_copy = scale_dev;
-  Tensor zero_copy = zero_dev;
-  copy_.enqueue([this, x_wire_copy, x_host, scale_copy, scale_host, zero_copy,
+  copy_.enqueue([this, x_dev, x_host, scale_dev, scale_host, zero_dev,
                  zero_host, pinned]() mutable {
-    dma_.copy(x_wire_copy.raw(), x_host.raw(), x_host.nbytes(), pinned);
+    if (x_host.numel() == 0) return;  // every row is a cache hit
+    dma_.copy(x_dev.raw(), x_host.raw(), x_host.nbytes(), pinned);
     if (scale_host.defined()) {
-      dma_.copy(scale_copy.raw(), scale_host.raw(), scale_host.nbytes(),
+      dma_.copy(scale_dev.raw(), scale_host.raw(), scale_host.nbytes(),
                 pinned);
-      dma_.copy(zero_copy.raw(), zero_host.raw(), zero_host.nbytes(), pinned);
+      dma_.copy(zero_dev.raw(), zero_host.raw(), zero_host.nbytes(), pinned);
     }
   }, "h2d.features");
 
-  // Compute stream waits for the copies, then decompresses the features.
-  Event copies_done = copy_.record();
-  compute_.wait(copies_done);
-  out.x_f32 = Tensor(batch.x.shape(), DType::kF32);
+  // The compute stream waits for the copies, then assembles the f32 compute
+  // copy ("GPU training computations are still done in single precision",
+  // §3): cached rows are device-to-device gathers (no PCIe), the rest are
+  // converted from the transferred wire rows.
+  compute_.wait(copy_.record());
+  const std::int64_t num_rows =
+      plan ? static_cast<std::int64_t>(plan->from_cache.size())
+           : batch.x.size(0);
+  out.x_f32 = Tensor({num_rows, batch.x.size(1)}, DType::kF32);
   Tensor x_f32_dev = out.x_f32;
-  compute_.enqueue([x_wire_dev, scale_dev, zero_dev, x_f32_dev]() mutable {
-    convert_features(x_wire_dev, scale_dev, zero_dev, x_f32_dev);
-  }, "dev.decompress_features");
-  if (ready != nullptr) {
-    *ready = compute_.record();
-  }
-  if (blocking) {
-    compute_.synchronize();
-  }
-  return out;
-}
-
-DeviceBatch DeviceSim::transfer_batch_cached(const PreparedBatch& batch,
-                                             const CachePlan& plan,
-                                             const FeatureCache& cache,
-                                             bool blocking, Event* ready) {
-  if (batch.x.size(0) != plan.num_missing) {
-    throw std::invalid_argument(
-        "transfer_batch_cached: batch.x must hold the plan's missing rows");
-  }
-  if (plan.from_cache.size() != batch.mfg.n_ids.size()) {
-    throw std::invalid_argument("transfer_batch_cached: plan size mismatch");
-  }
-  DeviceBatch out;
-  const bool pinned = batch.x.pinned();
-  enqueue_common_transfers(batch, pinned, out);
-
-  // Transfer only the missing rows (and any int8 scale/zero sidecars).
-  Tensor missing_dev(batch.x.shape(), batch.x.dtype());
-  Tensor scale_dev, zero_dev;
-  if (batch.x_scale.defined()) {
-    scale_dev = Tensor(batch.x_scale.shape(), batch.x_scale.dtype());
-    zero_dev = Tensor(batch.x_zero.shape(), batch.x_zero.dtype());
-  }
-  const Tensor x_host = batch.x;
-  const Tensor scale_host = batch.x_scale;
-  const Tensor zero_host = batch.x_zero;
-  Tensor missing_copy = missing_dev;
-  Tensor scale_copy = scale_dev;
-  Tensor zero_copy = zero_dev;
-  copy_.enqueue([this, missing_copy, x_host, scale_copy, scale_host,
-                 zero_copy, zero_host, pinned]() mutable {
-    if (x_host.numel() > 0) {
-      dma_.copy(missing_copy.raw(), x_host.raw(), x_host.nbytes(), pinned);
-      if (scale_host.defined()) {
-        dma_.copy(scale_copy.raw(), scale_host.raw(), scale_host.nbytes(),
-                  pinned);
-        dma_.copy(zero_copy.raw(), zero_host.raw(), zero_host.nbytes(),
-                  pinned);
-      }
-    }
-  }, "h2d.missing_rows");
-
-  // Assemble the full feature matrix on the compute stream: cached rows are
-  // device-to-device gathers (no PCIe), missing rows are up-converted from
-  // the transferred staging buffer.
-  Event copies_done = copy_.record();
-  compute_.wait(copies_done);
-  const auto num_rows = static_cast<std::int64_t>(plan.from_cache.size());
-  // Hit rows come from the plan's snapshot (dynamic policies) or the cache's
-  // immutable resident matrix (static policies).
-  const std::int64_t f =
-      plan.hit_rows.defined()
-          ? plan.hit_rows.size(1)
-          : (cache.features().defined() && cache.capacity() > 0
-                 ? cache.features().size(1)
-                 : batch.x.size(1));
-  out.x_f32 = Tensor({num_rows, f}, DType::kF32);
-  Tensor x_f32_dev = out.x_f32;
-  const Tensor cache_feats = cache.features();
-  // Copy the plan by value: the caller's plan may die before the stream runs.
-  // For dynamic policies this also keeps the hit-row snapshot alive, so later
-  // evictions cannot corrupt this in-flight batch.
-  auto plan_copy = std::make_shared<CachePlan>(plan);
-  compute_.enqueue([missing_dev, scale_dev, zero_dev, x_f32_dev, cache_feats,
-                    plan_copy, f]() mutable {
-    // Decompress the missing rows once, then scatter both sources.
-    Tensor missing_f32;
-    if (missing_dev.size(0) > 0) {
-      missing_f32 = Tensor(missing_dev.shape(), DType::kF32);
-      convert_features(missing_dev, scale_dev, zero_dev, missing_f32);
-    }
-    const Tensor& hits =
-        plan_copy->hit_rows.defined() ? plan_copy->hit_rows : cache_feats;
-    float* dst = x_f32_dev.data<float>();
-    const std::size_t row_bytes = static_cast<std::size_t>(f) * sizeof(float);
-    for (std::size_t i = 0; i < plan_copy->from_cache.size(); ++i) {
-      const std::int64_t src_row = plan_copy->source[i];
-      const float* src = plan_copy->from_cache[i]
-                             ? hits.data<float>() + src_row * f
-                             : missing_f32.data<float>() + src_row * f;
-      std::memcpy(dst + static_cast<std::int64_t>(i) * f, src, row_bytes);
-    }
-  }, "dev.assemble_cached");
+  compute_.enqueue([x_dev, scale_dev, zero_dev, plan, cache_rows,
+                    x_f32_dev]() mutable {
+    assemble_features(x_dev, scale_dev, zero_dev, plan.get(), cache_rows,
+                      x_f32_dev);
+  }, "dev.assemble_features");
   if (ready != nullptr) {
     *ready = compute_.record();
   }

@@ -30,14 +30,31 @@ struct DeviceConfig {
 };
 
 /// A mini-batch resident on the device: adjacency arrays, single-precision
-/// features (converted from the half-precision host store on the compute
-/// stream), and labels.
+/// features (assembled from the transferred wire rows and any cache hits on
+/// the compute stream), and labels.
 struct DeviceBatch {
   std::int64_t index = -1;
   Mfg mfg;       // adjacency arrays are device-side copies
   Tensor x_f32;  // [num_input, F] f32
   Tensor y;      // [batch_size] i64
 };
+
+/// The wire -> f32 feature assembly shared by DeviceSim's transfers and
+/// the cluster's node step (dist/cluster): writes every row of `out`
+/// ([num_input, F] f32) straight from its source.
+///  * Without a plan, `rows` holds every input row, converted in one bulk
+///    call.
+///  * With a plan, input row i is a cache hit copied from row
+///    plan->source[i] of plan->hit_rows (dynamic policies) or of
+///    `cache_rows` (FeatureCache::features()), or a miss converted in place
+///    from row plan->source[i] of `rows`.
+/// `rows` is the transferred wire payload: f16, f32, or i8q with its
+/// per-row `scale`/`zero` sidecars (undefined for the other dtypes).
+/// \throws std::invalid_argument on another wire dtype, or i8q rows without
+/// sidecars.
+void assemble_features(const Tensor& rows, const Tensor& scale,
+                       const Tensor& zero, const CachePlan* plan,
+                       const Tensor& cache_rows, Tensor& out);
 
 class DeviceSim {
  public:
@@ -49,9 +66,10 @@ class DeviceSim {
   const DeviceConfig& config() const { return config_; }
 
   /// Enqueue the full H2D transfer of `batch` on the copy stream and the
-  /// f16->f32 feature conversion on the compute stream (after the copy).
-  /// Returns the device batch and records `ready` on the compute stream —
-  /// kernels enqueued after a wait on `ready` see the complete batch.
+  /// bulk wire -> f32 feature conversion on the compute stream (after the
+  /// copy): the no-plan case of transfer_batch_cached. Returns the device
+  /// batch and records `ready` on the compute stream — kernels enqueued
+  /// after a wait on `ready` see the complete batch.
   ///
   /// When `blocking`, the call synchronizes before returning (the standard
   /// PyTorch `.to(device)` behaviour of Listing 1); otherwise it returns
@@ -62,17 +80,22 @@ class DeviceSim {
   /// Cache-aware transfer (paper §8 / GNS-style device cache): `batch.x`
   /// holds only the plan's missing rows; the compute stream assembles the
   /// full f32 feature matrix from the device-resident cache plus the
-  /// transferred rows. Transfer volume drops by the cache hit rate.
+  /// transferred rows (assemble_features). Transfer volume drops by the
+  /// cache hit rate.
+  /// \throws std::invalid_argument when `batch.x` is not the plan's missing
+  /// rows or the plan does not cover the batch's input nodes.
   DeviceBatch transfer_batch_cached(const PreparedBatch& batch,
                                     const CachePlan& plan,
                                     const FeatureCache& cache, bool blocking,
                                     Event* ready);
 
  private:
-  /// Enqueue the adjacency-array and label DMAs shared by both transfer
-  /// paths; fills out.mfg/out.y.
-  void enqueue_common_transfers(const PreparedBatch& batch, bool pinned,
-                                DeviceBatch& out);
+  /// The one transfer body: adjacency, label and wire-feature DMAs on the
+  /// copy stream, then assemble_features on the compute stream (`plan` null
+  /// without a cache; `cache_rows` is FeatureCache::features()).
+  DeviceBatch transfer(const PreparedBatch& batch,
+                       std::shared_ptr<const CachePlan> plan,
+                       Tensor cache_rows, bool blocking, Event* ready);
 
   DeviceConfig config_;
   DmaEngine dma_;

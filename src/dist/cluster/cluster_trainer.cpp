@@ -7,6 +7,7 @@
 #include <exception>
 #include <thread>
 
+#include "device/device_sim.h"
 #include "dist/allreduce.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
@@ -33,24 +34,21 @@ struct StepState {
   double loss_weight = 0;     ///< rows / global batch rows
   double loss = 0;            ///< this node's mean chunk loss
   double train_sim = 0;       ///< modelled compute seconds of this chunk
-  Mfg mfg;
+  /// The staged batch: x holds the plan's missing rows in wire precision
+  /// (f16) in the plan's staging layout, y the labels; both pooled.
+  PreparedBatch batch;
   RemotePlan rp;
-  Tensor x;                   ///< [num_input, F] f32, assembled per source
-  Tensor y;                   ///< [rows] i64 labels
-  std::vector<Half> stage;    ///< fetched remote rows, wire precision (f16)
   std::vector<FetchId> fetch_ids;  ///< posted fetches not yet waited on
   double issue = 0;                ///< sim time the fetches were posted
   double ready = 0;                ///< sim time the last fetch completes
 };
 
 /// Phase-A work for one (node, batch) chunk: sample, plan against the remote
-/// cache, assemble the f32 input matrix from cache hits and locally-owned
-/// rows, slice labels, and size the staging buffer for the remote fetches.
-/// The assembly order is fixed, so every pipeline depth produces identical
-/// bits for identical (seed, chunk).
-void prepare_chunk(StepState& s, const Dataset& dataset, const Half* feat,
-                   std::int64_t feat_dim, FastSampler& sampler,
-                   const RemoteFeatureCache& rcache,
+/// cache, slice this node's own rows into the first block of a pooled f16
+/// staging buffer (the fetches fill the owners' blocks later) and slice the
+/// labels. An empty chunk stages nothing.
+void prepare_chunk(StepState& s, const Dataset& dataset, FastSampler& sampler,
+                   const RemoteFeatureCache& rcache, PinnedPool& pool,
                    const std::vector<NodeId>& order, std::int64_t lo,
                    const ChunkRange& chunk, std::int64_t global_rows,
                    std::uint64_t sample_seed, double train_us_per_row) {
@@ -58,57 +56,27 @@ void prepare_chunk(StepState& s, const Dataset& dataset, const Half* feat,
   s.loss_weight =
       static_cast<double>(s.rows) / static_cast<double>(global_rows);
   if (s.rows <= 0) return;
-  s.mfg = sampler.sample(
+  PreparedBatch& b = s.batch;
+  b.mfg = sampler.sample(
       {order.data() + lo + chunk.begin, static_cast<std::size_t>(chunk.size())},
       sample_seed);
-  s.rp = rcache.plan(s.mfg);
-  const std::int64_t in = s.mfg.num_input_nodes();
-  s.train_sim = train_us_per_row * 1e-6 * static_cast<double>(in);
-  s.x = Tensor({in, feat_dim}, DType::kF32);
-  float* xd = s.x.data<float>();
-  // Cache hits are already device precision (f32).
-  const FeatureCache& cache = rcache.cache();
-  const float* hit_src =
-      cache.dynamic_policy()
-          ? (s.rp.plan.hit_rows.numel() > 0 ? s.rp.plan.hit_rows.data<float>()
-                                            : nullptr)
-          : (cache.capacity() > 0 ? cache.features().data<float>() : nullptr);
-  for (std::size_t i = 0; i < s.rp.plan.from_cache.size(); ++i) {
-    if (!s.rp.plan.from_cache[i]) continue;
-    std::memcpy(xd + static_cast<std::int64_t>(i) * feat_dim,
-                hit_src + s.rp.plan.source[i] * feat_dim,
-                static_cast<std::size_t>(feat_dim) * sizeof(float));
-  }
-  // Locally-owned rows: sliced from this node's feature shard and converted
-  // f16->f32 per row (elementwise, so bitwise identical to the single-node
-  // whole-matrix conversion).
+  s.rp = rcache.plan(b.mfg);
+  s.train_sim = train_us_per_row * 1e-6 *
+                static_cast<double>(b.mfg.num_input_nodes());
+  b.x = pool.acquire({s.rp.plan.num_missing, dataset.feature_dim},
+                     DType::kF16);
+  std::vector<NodeId> owned;
+  owned.reserve(s.rp.local_rows.size());
   for (const std::int64_t i : s.rp.local_rows) {
-    half_to_float_n(feat + s.mfg.n_ids[static_cast<std::size_t>(i)] * feat_dim,
-                    xd + i * feat_dim, feat_dim);
+    owned.push_back(b.mfg.n_ids[static_cast<std::size_t>(i)]);
   }
-  s.y = Tensor({s.mfg.batch_size}, DType::kI64);
+  Tensor first_block =
+      b.x.narrow_rows(0, static_cast<std::int64_t>(owned.size()));
+  slice_rows_serial(dataset.features, owned, first_block);
+  b.y = pool.acquire({b.mfg.batch_size}, DType::kI64);
   slice_labels(
       dataset.labels,
-      {s.mfg.n_ids.data(), static_cast<std::size_t>(s.mfg.batch_size)}, s.y);
-  std::int64_t fetch_rows = 0;
-  for (const auto& f : s.rp.fetches) {
-    fetch_rows += static_cast<std::int64_t>(f.rows.size());
-  }
-  s.stage.resize(static_cast<std::size_t>(fetch_rows * feat_dim));
-}
-
-/// Convert a chunk's fetched remote rows (f16 staging, committed by the
-/// interconnect) into the f32 input matrix, in fetch order.
-void convert_fetched_rows(StepState& s, std::int64_t feat_dim) {
-  std::int64_t off = 0;
-  float* xd = s.rows > 0 ? s.x.data<float>() : nullptr;
-  for (const auto& f : s.rp.fetches) {
-    for (const std::int64_t i : f.rows) {
-      half_to_float_n(s.stage.data() + off * feat_dim, xd + i * feat_dim,
-                      feat_dim);
-      ++off;
-    }
-  }
+      {b.mfg.n_ids.data(), static_cast<std::size_t>(b.mfg.batch_size)}, b.y);
 }
 
 /// The cluster's gradient reduce (train_step's hook): weight this node's
@@ -302,22 +270,24 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
               j % slots)];
       s.issue = issue[static_cast<std::size_t>(p)];
       s.ready = s.issue;
-      std::int64_t off = 0;
+      // Each owner's rows land in its block of the staging buffer, which
+      // starts after this node's own rows.
+      auto off = static_cast<std::int64_t>(s.rp.local_rows.size());
       for (const auto& f : s.rp.fetches) {
         const auto rows = static_cast<std::int64_t>(f.rows.size());
         scratch.resize(static_cast<std::size_t>(rows * feat_dim));
         for (std::int64_t k = 0; k < rows; ++k) {
           std::memcpy(scratch.data() + k * feat_dim,
-                      feat + s.mfg.n_ids[static_cast<std::size_t>(
+                      feat + s.batch.mfg.n_ids[static_cast<std::size_t>(
                                  f.rows[static_cast<std::size_t>(k)])] *
                                  feat_dim,
                       static_cast<std::size_t>(feat_dim) * sizeof(Half));
         }
         const std::size_t nb =
             static_cast<std::size_t>(rows * feat_dim) * sizeof(Half);
-        const PostedFetch posted =
-            net_.post_fetch(f.owner, p, scratch.data(),
-                            s.stage.data() + off * feat_dim, nb, s.issue);
+        const PostedFetch posted = net_.post_fetch(
+            f.owner, p, scratch.data(),
+            s.batch.x.data<Half>() + off * feat_dim, nb, s.issue);
         s.fetch_ids.push_back(posted.id);
         s.ready = std::max(s.ready, posted.completion);
         off += rows;
@@ -337,9 +307,10 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
     FastSampler sampler(dataset_.graph, config_.fanouts);
     const RemoteFeatureCache& rcache = *caches_[rankz];
 
-    // Drain this node's posted-but-unwaited fetches so an aborted epoch
-    // leaves no in-flight messages behind (their completions are already
-    // modelled; waiting just commits or discards the payloads).
+    // Drain this node's posted-but-unwaited fetches and return its staged
+    // buffers, so an aborted epoch leaves no in-flight messages or pinned
+    // buffers behind (the completions are already modelled; waiting just
+    // commits or discards the payloads).
     const auto drain_in_flight = [&] {
       for (auto& s : ring[rankz]) {
         for (const FetchId id : s.fetch_ids) {
@@ -351,6 +322,7 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
           }
         }
         s.fetch_ids.clear();
+        release_batch_buffers(pool_, std::move(s.batch));
       }
     };
 
@@ -360,24 +332,25 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
       // [0, depth] at step 0, then just batch b + depth.
       const ChunkRange admit = pipeline_admit_range(b, depth, num_steps);
 
-      // -- Phase A: sample + plan + assemble every batch entering the
+      // -- Phase A: sample + plan + stage every batch entering the
       // pipeline window, one per step in steady state. `dist.node.fail`
       // discards the attempt's freshly prepared batches (the simulated node
-      // crash) and redoes them — no fetches have been posted for them yet,
-      // so recovery is lossless.
+      // crash), returns their buffers and redoes them — no fetches have been
+      // posted for them yet, so recovery is lossless.
       bool ok = false;
       for (int attempt = 0; attempt <= config_.max_step_retries && !ok;
            ++attempt) {
         SALIENT_FAILPOINT_WEDGE("dist.node.slow");
         for (std::int64_t j = admit.begin; j < admit.end; ++j) {
           StepState& s = ring[rankz][static_cast<std::size_t>(j % slots)];
+          release_batch_buffers(pool_, std::move(s.batch));
           s = StepState{};
           const std::int64_t lo = j * batch;
           const std::int64_t hi = std::min(total, lo + batch);
           const std::int64_t global_rows = hi - lo;
           const ChunkRange chunk = chunk_range(global_rows, world, rank);
-          prepare_chunk(s, dataset_, feat, feat_dim, sampler, rcache, order,
-                        lo, chunk, global_rows,
+          prepare_chunk(s, dataset_, sampler, rcache, pool_, order, lo, chunk,
+                        global_rows,
                         schedule_mix_seed(epoch_seed, j * world + rank),
                         config_.sim_train_us_per_input_row);
         }
@@ -446,13 +419,19 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
       }
 
       // -- Phase C: wait batch b's completion events (committing the
-      // fetched payloads), convert, train, allreduce, step. Nothing here
-      // depends on the depth, so losses are depth-invariant.
+      // fetched payloads), assemble the f32 inputs, train, allreduce, step,
+      // and return the staged buffers. Nothing here depends on the depth,
+      // so losses are depth-invariant.
       t.reset();
       StepState& s = ring[rankz][static_cast<std::size_t>(b % slots)];
       for (const FetchId id : s.fetch_ids) net_.wait_fetch(id);
       s.fetch_ids.clear();
-      convert_fetched_rows(s, feat_dim);
+      Tensor x;  // stays undefined for an empty chunk
+      if (s.rows > 0) {
+        x = Tensor({s.batch.mfg.num_input_nodes(), feat_dim}, DType::kF32);
+        assemble_features(s.batch.x, s.batch.x_scale, s.batch.x_zero,
+                          &s.rp.plan, rcache.cache().features(), x);
+      }
       GradReduce reduce;
       if (world > 1) {
         const auto scale = static_cast<float>(
@@ -462,7 +441,9 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
           allreduce_gradients(ps, allreduce, rank, scale);
         };
       }
-      s.loss = train_step(model, opt, s.x, s.mfg, s.y, nullptr, reduce);
+      s.loss = train_step(model, opt, x, s.batch.mfg, s.batch.y, nullptr,
+                          reduce);
+      release_batch_buffers(pool_, std::move(s.batch));
       node_secs[rankz] += t.seconds();
       bar.arrive_and_wait();
 

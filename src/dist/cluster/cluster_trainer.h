@@ -45,6 +45,7 @@
 #include "graph/dataset.h"
 #include "nn/models.h"
 #include "optim/adam.h"
+#include "prep/pinned_pool.h"
 
 /// \file
 /// \brief The multi-node cluster training driver (docs/DISTRIBUTED.md).
@@ -190,6 +191,8 @@ class ClusterTrainer {
   std::vector<std::shared_ptr<nn::GnnModel>> models_;
   std::vector<std::unique_ptr<optim::Adam>> optimizers_;
   std::vector<std::unique_ptr<RemoteFeatureCache>> caches_;
+  /// Pinned staging and label buffers of every node's in-flight batches.
+  PinnedPool pool_;
   /// Per-node simulated clock (seconds); persists across epochs so link
   /// occupancy carries over like the Interconnect's NIC clocks.
   std::vector<double> node_clock_;

@@ -250,8 +250,17 @@ RemotePlan RemoteFeatureCache::plan(const Mfg& mfg) const {
       ++rp.remote_misses;
     }
   }
+  // The staging layout (each missing row's CachePlan::source): this node's
+  // own rows first, then one contiguous block per owner in fetch order.
+  std::int64_t slot = 0;
+  for (const std::int64_t i : rp.local_rows) {
+    rp.plan.source[static_cast<std::size_t>(i)] = slot++;
+  }
   for (std::size_t q = 0; q < per_owner.size(); ++q) {
     if (per_owner[q].empty()) continue;
+    for (const std::int64_t i : per_owner[q]) {
+      rp.plan.source[static_cast<std::size_t>(i)] = slot++;
+    }
     rp.fetches.push_back({static_cast<int>(q), std::move(per_owner[q])});
   }
   m_hits.add(rp.remote_hits);

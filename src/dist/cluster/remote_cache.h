@@ -62,10 +62,13 @@ struct RemoteFetch {
 /// either owned locally, replicated in the remote cache, or listed in a
 /// per-owner fetch.
 struct RemotePlan {
-  /// The underlying cache classification (hits serve from the cache).
+  /// The underlying cache classification (hits serve from the cache). The
+  /// `source` of a missing row is its row in the batch's staging buffer:
+  /// the locally owned rows first, then each fetch's rows as one
+  /// contiguous block, in fetch order.
   CachePlan plan;
   /// Ascending row indices owned by this node (sliced from the local
-  /// feature-store shard).
+  /// feature-store shard into the staging buffer's first block).
   std::vector<std::int64_t> local_rows;
   /// Per-owner fetches of the remote misses, ascending owner order; owners
   /// with no missing rows are omitted.
@@ -100,7 +103,8 @@ class RemoteFeatureCache {
                      int node, const RemoteCacheConfig& config);
 
   /// Classify a sampled batch: cache hits, locally owned rows, and the
-  /// per-owner remote fetch lists. Counts the cluster-wide
+  /// per-owner remote fetch lists, and lay out the missing rows' staging
+  /// buffer (RemotePlan::plan). Counts the cluster-wide
   /// `dist.cache.row_{hits,misses}` metrics (remote rows only).
   RemotePlan plan(const Mfg& mfg) const;
 

@@ -3,10 +3,42 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/trace.h"
 #include "prep/pinned_pool.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
+#include "sampling/fast_sampler.h"
 
 namespace salient {
+
+PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
+                            std::span<const NodeId> seeds, std::uint64_t seed,
+                            std::int64_t index, DType wire_dtype,
+                            PinnedPool& pool, const FeatureCache* cache) {
+  PreparedBatch batch;
+  batch.index = index;
+  {
+    SALIENT_TRACE_SCOPE_ARG("prep.sample", index);
+    batch.mfg = sampler.sample(seeds, schedule_mix_seed(seed, index));
+  }
+  SALIENT_TRACE_SCOPE_ARG("prep.slice", index);
+  if (cache != nullptr) {
+    auto plan =
+        std::make_shared<CachePlan>(plan_cached_batch(batch.mfg, *cache));
+    stage_feature_rows(dataset.features, missing_node_ids(batch.mfg, *plan),
+                       wire_dtype, pool, batch);
+    batch.cache_plan = std::move(plan);
+  } else {
+    stage_feature_rows(dataset.features, batch.mfg.n_ids, wire_dtype, pool,
+                       batch);
+  }
+  batch.y = pool.acquire({batch.mfg.batch_size}, DType::kI64);
+  slice_labels(dataset.labels,
+               {batch.mfg.n_ids.data(),
+                static_cast<std::size_t>(batch.mfg.batch_size)},
+               batch.y);
+  return batch;
+}
 
 void stage_feature_rows(const Tensor& features, std::span<const NodeId> ids,
                         DType wire_dtype, PinnedPool& pool,

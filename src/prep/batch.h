@@ -60,7 +60,20 @@ struct PreparedBatch {
   }
 };
 
+class FastSampler;
 class PinnedPool;
+
+/// Prepare batch `index` of a schedule end to end — the one batch-prep path
+/// of SalientLoader and serve::InferenceServer (paper §4.2): sample the MFG
+/// of `seeds` with schedule_mix_seed(seed, index); plan it against `cache`
+/// when one is given; stage the missing rows (every input row without a
+/// cache) in `wire_dtype` into `pool` buffers through stage_feature_rows;
+/// and slice the seeds' labels into a pooled buffer. Records the
+/// `prep.sample` and `prep.slice` spans on the calling thread's track.
+PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
+                            std::span<const NodeId> seeds, std::uint64_t seed,
+                            std::int64_t index, DType wire_dtype,
+                            PinnedPool& pool, const FeatureCache* cache);
 
 /// Slice the feature rows of `ids` into `batch.x` (and, for kInt8Q,
 /// `batch.x_scale`/`batch.x_zero`) in the loader's wire dtype, staged in

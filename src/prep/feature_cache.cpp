@@ -215,14 +215,4 @@ std::vector<NodeId> missing_node_ids(const Mfg& mfg, const CachePlan& plan) {
   return missing;
 }
 
-void slice_missing_rows(const Dataset& dataset, const Mfg& mfg,
-                        const CachePlan& plan, Tensor& out) {
-  if (out.size(0) != plan.num_missing ||
-      out.size(1) != dataset.feature_dim ||
-      out.dtype() != dataset.features.dtype()) {
-    throw std::invalid_argument("slice_missing_rows: bad output buffer");
-  }
-  slice_rows_serial(dataset.features, missing_node_ids(mfg, plan), out);
-}
-
 }  // namespace salient

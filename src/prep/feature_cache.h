@@ -16,9 +16,10 @@
 // the `serve_loadgen --sweep-cache` curves quantify.
 //
 // Pipeline integration: the preparation side slices only the *missing* rows
-// into pinned staging (plan_cached_batch + slice_missing_rows), and the
-// device assembles the full feature matrix from the cache plus the
-// transferred rows on the compute stream (DeviceSim::transfer_batch_cached).
+// into pinned staging (prepare_batch: plan_cached_batch + missing_node_ids +
+// stage_feature_rows), and the device assembles the full feature matrix from
+// the cache plus the transferred rows on the compute stream
+// (DeviceSim::transfer_batch_cached).
 //
 // Concurrency: caches built with a static policy are immutable after
 // construction and planned against lock-free from any number of loader /
@@ -40,7 +41,7 @@
 
 /// \file
 /// \brief The device feature cache, its per-batch transfer plan, and the
-/// cache-aware slicing helpers.
+/// list of a plan's missing rows.
 
 namespace salient {
 
@@ -52,9 +53,10 @@ class FeatureCache;
 struct CachePlan {
   /// Per input node: 1 when served from the cache, 0 when transferred.
   std::vector<std::uint8_t> from_cache;
-  /// Per input node: for misses, the dense missing-row index (0-based in
-  /// input order). For hits: the cache slot (static policies) or the row in
-  /// `hit_rows` (dynamic policies, where hit_rows is defined).
+  /// Per input node: for misses, the row in the staged miss buffer (dense
+  /// and in input order from plan_cached_batch; the cluster's remote plan
+  /// groups them by owner). For hits: the cache slot (static policies) or
+  /// the row in `hit_rows` (dynamic policies, where hit_rows is defined).
   std::vector<std::int64_t> source;
   /// Number of rows the host must still transfer.
   std::int64_t num_missing = 0;
@@ -154,13 +156,8 @@ class FeatureCache {
 };
 
 /// The node ids of the plan's cache-missing rows, in the order the device
-/// expects them in the staged miss buffer (the loaders feed this list to
+/// expects them in the staged miss buffer (prepare_batch feeds this list to
 /// stage_feature_rows so misses can ship compressed).
 std::vector<NodeId> missing_node_ids(const Mfg& mfg, const CachePlan& plan);
-
-/// Slice the plan's missing rows from the host store into `out`
-/// ([plan.num_missing, F], host feature dtype).
-void slice_missing_rows(const Dataset& dataset, const Mfg& mfg,
-                        const CachePlan& plan, Tensor& out);
 
 }  // namespace salient

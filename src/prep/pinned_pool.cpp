@@ -1,5 +1,7 @@
 #include "prep/pinned_pool.h"
 
+#include <algorithm>
+
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,8 +16,8 @@ std::size_t bytes_for(const std::vector<std::int64_t>& shape, DType dtype) {
   return n * dtype_size(dtype);
 }
 
-/// Buckets are rounded up to 64KiB multiples so that mini-batches of
-/// slightly varying size reuse the same buffers.
+/// Requests are rounded up to 64KiB multiples, the unit of every buffer's
+/// capacity.
 std::size_t bucket_of(std::size_t nbytes) {
   constexpr std::size_t kBucket = 64 * 1024;
   return ((nbytes + kBucket - 1) / kBucket) * kBucket;
@@ -24,11 +26,31 @@ std::size_t bucket_of(std::size_t nbytes) {
 }  // namespace
 
 std::optional<StoragePtr> PinnedPool::take_idle(std::size_t bucket) {
-  auto it = free_by_size_.find(bucket);
-  if (it == free_by_size_.end() || it->second.empty()) return std::nullopt;
-  StoragePtr storage = std::move(it->second.back());
-  it->second.pop_back();
+  auto it = idle_.lower_bound(bucket);
+  if (it == idle_.end()) return std::nullopt;
+  StoragePtr storage = std::move(it->second);
+  idle_.erase(it);
+  live_bytes_ += storage->nbytes();
+  live_high_water_ = std::max(live_high_water_, live_bytes_);
   return storage;
+}
+
+void PinnedPool::account_alloc(std::size_t bucket,
+                               std::vector<StoragePtr>& freed) {
+  ++allocs_;
+  allocated_bytes_ += bucket;
+  live_bytes_ += bucket;
+  live_high_water_ = std::max(live_high_water_, live_bytes_);
+  // take_idle just failed, so every idle buffer is smaller than this
+  // request; the smallest are the least reusable and go first.
+  std::size_t limit = live_high_water_;
+  if (config_.max_bytes > 0) limit = std::min(limit, config_.max_bytes);
+  while (allocated_bytes_ > limit && !idle_.empty()) {
+    auto it = idle_.begin();
+    allocated_bytes_ -= it->first;
+    freed.push_back(std::move(it->second));
+    idle_.erase(it);
+  }
 }
 
 Tensor PinnedPool::acquire(std::vector<std::int64_t> shape, DType dtype) {
@@ -40,6 +62,7 @@ Tensor PinnedPool::acquire(std::vector<std::int64_t> shape, DType dtype) {
   m_acquires.add();
   const std::size_t bucket = bucket_of(bytes_for(shape, dtype));
   bool overshoot = false;
+  std::vector<StoragePtr> freed;
   {
     check::UniqueLock lock(mu_);
     for (;;) {
@@ -52,9 +75,8 @@ Tensor PinnedPool::acquire(std::vector<std::int64_t> shape, DType dtype) {
       // release, then retry — so the backpressure path is exercised without
       // real memory pressure.
       const bool injected = SALIENT_FAILPOINT("pinned.exhausted");
-      const bool over_budget =
-          config_.max_bytes > 0 &&
-          allocated_bytes_ + bucket > config_.max_bytes;
+      const bool over_budget = config_.max_bytes > 0 &&
+                               live_bytes_ + bucket > config_.max_bytes;
       if (!injected && (!over_budget || overshoot)) break;  // go allocate
       ++backpressure_waits_;
       m_waits.add();
@@ -72,9 +94,9 @@ Tensor PinnedPool::acquire(std::vector<std::int64_t> shape, DType dtype) {
       }
       // A buffer was released (or a spurious wakeup): loop and retry.
     }
-    ++allocs_;
-    allocated_bytes_ += bucket;
+    account_alloc(bucket, freed);
   }
+  freed.clear();  // unpin the trimmed buffers before pinning a new one
   // Pool miss: a fresh page-locked allocation (the expensive case the pool
   // exists to amortize) — worth an instant marker in the trace.
   m_misses.add();
@@ -86,6 +108,7 @@ Tensor PinnedPool::acquire(std::vector<std::int64_t> shape, DType dtype) {
 std::optional<Tensor> PinnedPool::try_acquire(std::vector<std::int64_t> shape,
                                               DType dtype) {
   const std::size_t bucket = bucket_of(bytes_for(shape, dtype));
+  std::vector<StoragePtr> freed;
   {
     check::LockGuard lock(mu_);
     if (auto storage = take_idle(bucket)) {
@@ -93,12 +116,12 @@ std::optional<Tensor> PinnedPool::try_acquire(std::vector<std::int64_t> shape,
                                   dtype);
     }
     if (config_.max_bytes > 0 &&
-        allocated_bytes_ + bucket > config_.max_bytes) {
+        live_bytes_ + bucket > config_.max_bytes) {
       return std::nullopt;
     }
-    ++allocs_;
-    allocated_bytes_ += bucket;
+    account_alloc(bucket, freed);
   }
+  freed.clear();
   auto storage = std::make_shared<Storage>(bucket, /*pinned=*/true);
   return Tensor::wrap_storage(std::move(storage), std::move(shape), dtype);
 }
@@ -107,16 +130,16 @@ void PinnedPool::release(Tensor t) {
   if (!t.defined() || !t.pinned()) return;
   {
     check::LockGuard lock(mu_);
-    free_by_size_[t.storage()->nbytes()].push_back(t.storage());
+    const std::size_t capacity = t.storage()->nbytes();
+    live_bytes_ -= std::min(live_bytes_, capacity);
+    idle_.emplace(capacity, t.storage());
   }
   cv_released_.notify_one();
 }
 
 std::size_t PinnedPool::idle_count() const {
   check::LockGuard lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [sz, v] : free_by_size_) n += v.size();
-  return n;
+  return idle_.size();
 }
 
 std::size_t PinnedPool::alloc_count() const {

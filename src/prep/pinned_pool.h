@@ -8,8 +8,9 @@
 // for the next batch.
 //
 // Robustness: page-locked memory is a scarce, registered resource, so the
-// pool supports an optional byte budget. When the budget is exhausted,
-// acquire() applies *backpressure* — it blocks until a buffer is released —
+// pool supports an optional byte budget. When the live buffers leave no room
+// for a request (idle buffers too small for it are freed first), acquire()
+// applies *backpressure* — it blocks until a buffer is released —
 // instead of growing without bound or aborting; after `acquire_timeout` it
 // degrades gracefully by allocating past the budget (counted as
 // pinned_pool.overshoots) so a mis-sized budget can never deadlock the
@@ -19,8 +20,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "check/shim.h"
@@ -42,8 +43,8 @@ class PinnedPool {
   PinnedPool() = default;
   explicit PinnedPool(PinnedPoolConfig config) : config_(config) {}
 
-  /// Get a pinned tensor of the given shape/dtype, recycling a previously
-  /// released buffer of the same byte size when available. Under an
+  /// Get a pinned tensor of the given shape/dtype, recycling the smallest
+  /// released buffer that fits when one is idle. Under an
   /// exhausted budget this blocks for a release (backpressure) and, past
   /// the configured timeout, allocates anyway (graceful degradation).
   Tensor acquire(std::vector<std::int64_t> shape, DType dtype);
@@ -53,15 +54,16 @@ class PinnedPool {
   std::optional<Tensor> try_acquire(std::vector<std::int64_t> shape,
                                     DType dtype);
 
-  /// Return a pinned tensor's storage to the pool. The caller must not touch
-  /// the tensor afterwards. Wakes one waiter blocked in acquire().
+  /// Return a tensor acquired from this pool. The caller must not touch the
+  /// tensor afterwards. Wakes one waiter blocked in acquire().
   void release(Tensor t);
 
   /// Number of idle buffers currently pooled.
   std::size_t idle_count() const;
   /// Total allocations performed (i.e., pool misses).
   std::size_t alloc_count() const;
-  /// Bytes across all buffers this pool has allocated (live + idle).
+  /// Bytes across the buffers this pool holds (live + idle). Idle buffers
+  /// are freed so this never exceeds the most bytes that were live at once.
   std::size_t allocated_bytes() const;
   /// Times acquire() blocked on an exhausted budget.
   std::size_t backpressure_waits() const;
@@ -72,16 +74,22 @@ class PinnedPool {
   const PinnedPoolConfig& config() const { return config_; }
 
  private:
-  /// Take a recycled buffer of `bucket` bytes if one is idle.
+  /// Take the smallest idle buffer of at least `bucket` bytes, if any.
   std::optional<StoragePtr> take_idle(std::size_t bucket) REQUIRES(mu_);
+  /// Account a new `bucket`-byte buffer and move the idle buffers it leaves
+  /// above the live high-water mark (and the budget) into `freed`.
+  void account_alloc(std::size_t bucket, std::vector<StoragePtr>& freed)
+      REQUIRES(mu_);
 
   PinnedPoolConfig config_;  // unguarded: immutable after construction
   mutable check::Mutex mu_;
   check::CondVar cv_released_;
-  std::unordered_map<std::size_t, std::vector<StoragePtr>> free_by_size_
-      GUARDED_BY(mu_);
+  /// Idle buffers keyed by capacity (bytes).
+  std::multimap<std::size_t, StoragePtr> idle_ GUARDED_BY(mu_);
   std::size_t allocs_ GUARDED_BY(mu_) = 0;
-  std::size_t allocated_bytes_ GUARDED_BY(mu_) = 0;
+  std::size_t allocated_bytes_ GUARDED_BY(mu_) = 0;  ///< live + idle
+  std::size_t live_bytes_ GUARDED_BY(mu_) = 0;  ///< capacities handed out
+  std::size_t live_high_water_ GUARDED_BY(mu_) = 0;  ///< max of live_bytes_
   std::size_t backpressure_waits_ GUARDED_BY(mu_) = 0;
   std::size_t overshoots_ GUARDED_BY(mu_) = 0;
 };

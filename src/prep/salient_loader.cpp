@@ -5,7 +5,6 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "prep/slicing.h"
 #include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 
@@ -128,46 +127,18 @@ void SalientLoader::worker_loop(int worker_index) {
     // the batch (train/trainer.cpp) — the full per-batch pipeline latency.
     SALIENT_TRACE_ASYNC_BEGIN("batch", desc.index);
 
-    // 1. Neighborhood sampling and MFG construction (fused).
-    const std::span<const NodeId> batch_nodes(
-        epoch_nodes_.data() + desc.begin,
-        static_cast<std::size_t>(desc.end - desc.begin));
-    PreparedBatch batch;
-    batch.index = desc.index;
-    {
-      SALIENT_TRACE_SCOPE_ARG("prep.sample", desc.index);
-      batch.mfg = sampler.sample(batch_nodes,
-                                 schedule_mix_seed(config_.seed, desc.index));
-    }
-
-    // 2. Serial slicing directly into pinned staging buffers. With a device
-    // feature cache, only the cache-missing rows are sliced/staged.
-    {
-      SALIENT_TRACE_SCOPE_ARG("prep.slice", desc.index);
-      // Rows leave the host in config_.feature_dtype: converted (f16/f32)
-      // or per-row int8-quantized during the gather, so pinned staging and
-      // the DMA only ever see the wire format.
-      if (cache_) {
-        auto plan = std::make_shared<CachePlan>(
-            plan_cached_batch(batch.mfg, *cache_));
-        const std::vector<NodeId> missing =
-            missing_node_ids(batch.mfg, *plan);
-        stage_feature_rows(dataset_.features, missing,
-                           config_.feature_dtype, *pool_, batch);
-        batch.cache_plan = std::move(plan);
-      } else {
-        stage_feature_rows(dataset_.features, batch.mfg.n_ids,
-                           config_.feature_dtype, *pool_, batch);
-      }
-      batch.y = pool_->acquire({batch.mfg.batch_size}, DType::kI64);
-      slice_labels(dataset_.labels,
-                   {batch.mfg.n_ids.data(),
-                    static_cast<std::size_t>(batch.mfg.batch_size)},
-                   batch.y);
-    }
+    // Sampling, then serial slicing directly into pinned staging buffers
+    // in config_.feature_dtype (only the cache-missing rows with a device
+    // feature cache).
+    PreparedBatch batch = prepare_batch(
+        sampler, dataset_,
+        {epoch_nodes_.data() + desc.begin,
+         static_cast<std::size_t>(desc.end - desc.begin)},
+        config_.seed, desc.index, config_.feature_dtype, *pool_,
+        cache_.get());
     m_prepared.add();
 
-    // 3. Zero-copy hand-off to the consumer. Only a delivered batch counts
+    // Zero-copy hand-off to the consumer. Only a delivered batch counts
     // against pending_ — exactly-once delivery is what the chaos suite
     // asserts under injected faults.
     if (!output_queue_.push(std::move(batch))) return;  // loader shut down

@@ -7,8 +7,6 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "prep/slicing.h"
-#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 #include "tensor/ops.h"
 
@@ -206,36 +204,12 @@ void InferenceServer::prep_loop(int worker_index) {
       fail_batch(std::move(cb));
       continue;
     }
-    cb.prep.index = cb.seq;
-    {
-      SALIENT_TRACE_SCOPE_ARG("serve.sample", cb.seq);
-      cb.prep.mfg =
-          sampler.sample(cb.nodes, schedule_mix_seed(config_.seed, cb.seq));
-    }
-    {
-      SALIENT_TRACE_SCOPE_ARG("serve.slice", cb.seq);
-      // Rows ship in config_.feature_dtype (converted or int8-quantized
-      // during the gather), same wire formats as the training loaders.
-      if (config_.feature_cache) {
-        auto plan = std::make_shared<CachePlan>(
-            plan_cached_batch(cb.prep.mfg, *config_.feature_cache));
-        const std::vector<NodeId> missing =
-            missing_node_ids(cb.prep.mfg, *plan);
-        stage_feature_rows(dataset_.features, missing, config_.feature_dtype,
-                           *pool_, cb.prep);
-        cb.prep.cache_plan = std::move(plan);
-      } else {
-        stage_feature_rows(dataset_.features, cb.prep.mfg.n_ids,
-                           config_.feature_dtype, *pool_, cb.prep);
-      }
-      // Serving needs no labels, but the device transfer path expects a y
-      // tensor; slice the (tiny) label rows so DeviceBatch stays uniform.
-      cb.prep.y = pool_->acquire({cb.prep.mfg.batch_size}, DType::kI64);
-      slice_labels(dataset_.labels,
-                   {cb.prep.mfg.n_ids.data(),
-                    static_cast<std::size_t>(cb.prep.mfg.batch_size)},
-                   cb.prep.y);
-    }
+    // The training loaders' batch prep: rows ship in config_.feature_dtype,
+    // and the labels are sliced too, although serving needs none, so the
+    // device transfer path sees a uniform batch.
+    cb.prep = prepare_batch(sampler, dataset_, cb.nodes, config_.seed, cb.seq,
+                            config_.feature_dtype, *pool_,
+                            config_.feature_cache.get());
     if (!device_in_.push(std::move(cb))) return;  // server torn down
   }
 }

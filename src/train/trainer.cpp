@@ -60,6 +60,14 @@ double train_step(nn::GnnModel& model, optim::Adam& optimizer,
   return static_cast<double>(loss.data().data<float>()[0]);
 }
 
+DeviceBatch Trainer::transfer(const PreparedBatch& batch, bool blocking,
+                              Event* ready) {
+  return batch.cache_plan
+             ? device_.transfer_batch_cached(batch, *batch.cache_plan,
+                                             *cache_, blocking, ready)
+             : device_.transfer_batch(batch, blocking, ready);
+}
+
 EpochStats Trainer::train_epoch(int epoch) {
   LoaderConfig epoch_cfg = config_.loader;
   epoch_cfg.seed = config_.loader.seed * 0x10001ull +
@@ -110,12 +118,7 @@ EpochStats Trainer::run_blocking(Loader& loader, int epoch) {
     DeviceBatch dev;
     {
       SALIENT_TRACE_SCOPE_ARG("transfer.blocking", batch.index);
-      dev = batch.cache_plan
-                ? device_.transfer_batch_cached(batch, *batch.cache_plan,
-                                                *cache_,
-                                                /*blocking=*/true, nullptr)
-                : device_.transfer_batch(batch, /*blocking=*/true,
-                                         /*ready=*/nullptr);
+      dev = transfer(batch, /*blocking=*/true, /*ready=*/nullptr);
     }
     stats.blocking.add(Phase::kTransfer, t.seconds());
     loader.recycle(std::move(batch));
@@ -165,11 +168,7 @@ EpochStats Trainer::run_replay(int epoch) {
     const PreparedBatch& batch = replay_batches_[idx];
     stats.transfer_bytes += batch.transfer_bytes();
     WallTimer t;
-    DeviceBatch dev =
-        batch.cache_plan
-            ? device_.transfer_batch_cached(batch, *batch.cache_plan, *cache_,
-                                            true, nullptr)
-            : device_.transfer_batch(batch, true, nullptr);
+    DeviceBatch dev = transfer(batch, /*blocking=*/true, /*ready=*/nullptr);
     stats.blocking.add(Phase::kTransfer, t.seconds());
     t.reset();
     double acc = 0, loss = 0;
@@ -236,10 +235,7 @@ Trainer::InferenceEpoch Trainer::inference_epoch(
     Inflight item;
     Event ready;
     item.dev = std::make_shared<DeviceBatch>(
-        batch.cache_plan
-            ? device_.transfer_batch_cached(batch, *batch.cache_plan, *cache_,
-                                            false, &ready)
-            : device_.transfer_batch(batch, false, &ready));
+        transfer(batch, /*blocking=*/false, &ready));
     item.host = std::move(batch);
     item.hits = std::make_shared<std::pair<std::int64_t, std::int64_t>>(0, 0);
     auto dev = item.dev;
@@ -301,12 +297,12 @@ EpochStats Trainer::run_pipelined(int epoch, const LoaderConfig& epoch_cfg) {
     if (config_.sampling_period > 1) {
       // LazyGCN schedule: keep an unpinned deep copy for replay epochs
       // (the pinned staging buffers still return to the pool).
-      PreparedBatch copy;
-      copy.index = f.host.index;
-      copy.mfg = f.host.mfg;
-      copy.x = f.host.x.clone();
-      copy.y = f.host.y.clone();
-      copy.cache_plan = f.host.cache_plan;
+      // Every field is kept: an i8q batch without its scale/zero sidecars
+      // cannot be dequantized.
+      PreparedBatch copy = f.host;
+      for (Tensor* t : {&copy.x, &copy.y, &copy.x_scale, &copy.x_zero}) {
+        if (t->defined()) *t = t->clone();
+      }
       replay_batches_.push_back(std::move(copy));
     }
     loader.recycle(std::move(f.host));
@@ -335,10 +331,7 @@ EpochStats Trainer::run_pipelined(int epoch, const LoaderConfig& epoch_cfg) {
     Inflight item;
     Event ready;
     item.dev = std::make_shared<DeviceBatch>(
-        batch.cache_plan
-            ? device_.transfer_batch_cached(batch, *batch.cache_plan, *cache_,
-                                            /*blocking=*/false, &ready)
-            : device_.transfer_batch(batch, /*blocking=*/false, &ready));
+        transfer(batch, /*blocking=*/false, &ready));
     item.copies_done = device_.copy_stream().record();
     item.host = std::move(batch);
     item.result = std::make_shared<std::pair<double, double>>(0.0, 0.0);

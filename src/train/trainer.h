@@ -103,6 +103,9 @@ class Trainer {
   EpochStats run_pipelined(int epoch, const LoaderConfig& epoch_cfg);
   /// Replay the lazily cached epoch (no sampling/slicing; LazyGCN schedule).
   EpochStats run_replay(int epoch);
+  /// Enqueue `batch`'s transfer, cache-assembled when it carries a plan.
+  DeviceBatch transfer(const PreparedBatch& batch, bool blocking,
+                       Event* ready);
 
   const Dataset& dataset_;
   std::shared_ptr<nn::GnnModel> model_;

@@ -157,7 +157,7 @@ TEST(CachePolicy, CacheRejectsOverPinning) {
 
 // Every policy must satisfy the same plan contract: classification covers
 // all input nodes, misses are densely numbered in input order, hit sources
-// resolve to the right feature rows, and slice_missing_rows + device
+// resolve to the right feature rows, and slicing the missing rows + device
 // assembly reconstruct the exact uncached feature matrix.
 class PolicyParity : public ::testing::TestWithParam<CachePolicyKind> {};
 
@@ -195,7 +195,7 @@ TEST_P(PolicyParity, SliceMissingRowsMatchesHostStore) {
   const Mfg mfg = policy_test_mfg();
   const CachePlan plan = plan_cached_batch(mfg, cache);
   Tensor out({plan.num_missing, ds.feature_dim}, DType::kF16);
-  slice_missing_rows(ds, mfg, plan, out);
+  slice_rows_serial(ds.features, missing_node_ids(mfg, plan), out);
   for (std::size_t i = 0; i < mfg.n_ids.size(); ++i) {
     if (plan.from_cache[i]) continue;
     const std::int64_t row = plan.source[i];
@@ -245,7 +245,7 @@ TEST_P(PolicyParity, CachedTransferMatchesUncachedBitExactly) {
   cached.index = 0;
   cached.mfg = full.mfg;
   cached.x = Tensor({plan.num_missing, ds.feature_dim}, DType::kF16, true);
-  slice_missing_rows(ds, full.mfg, plan, cached.x);
+  slice_rows_serial(ds.features, missing_node_ids(full.mfg, plan), cached.x);
   cached.y = full.y;
 
   DeviceSim dev;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -405,6 +406,28 @@ TEST(RemoteCache, PlanPartitionsRowsAndMatchesOwnerGrouping) {
   }
   EXPECT_GT(plan.remote_hits, 0);  // 5% of a skewed graph catches hubs
   EXPECT_GT(plan.remote_hit_rate(), 0.0);
+
+  // The staging layout: the missing rows' sources are a permutation of
+  // [0, num_missing) — owned rows first, then each fetch as one contiguous
+  // block, in fetch order.
+  EXPECT_EQ(plan.plan.num_missing, planned);
+  std::vector<std::int64_t> slots;
+  for (std::size_t i = 0; i < mfg.n_ids.size(); ++i) {
+    if (!plan.plan.from_cache[i]) slots.push_back(plan.plan.source[i]);
+  }
+  std::sort(slots.begin(), slots.end());
+  std::vector<std::int64_t> iota(static_cast<std::size_t>(planned));
+  std::iota(iota.begin(), iota.end(), std::int64_t{0});
+  EXPECT_EQ(slots, iota);
+  std::int64_t next = 0;
+  for (const std::int64_t i : plan.local_rows) {
+    EXPECT_EQ(plan.plan.source[static_cast<std::size_t>(i)], next++);
+  }
+  for (const auto& f : plan.fetches) {
+    for (const std::int64_t i : f.rows) {
+      EXPECT_EQ(plan.plan.source[static_cast<std::size_t>(i)], next++);
+    }
+  }
 }
 
 TEST(RemoteCache, StaticPoliciesGrowMonotonically) {

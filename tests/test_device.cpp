@@ -1,11 +1,13 @@
 // Device-simulator tests: stream FIFO ordering, event semantics,
 // cross-stream synchronization, DMA data integrity + bandwidth modelling,
-// and full PreparedBatch transfer correctness (f16 -> f32 conversion).
+// full PreparedBatch transfer correctness (f16 -> f32 conversion), and the
+// wire -> f32 feature assembly against the convert-then-scatter it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "device/device_sim.h"
@@ -13,8 +15,11 @@
 #include "device/dma.h"
 #include "device/stream.h"
 #include "graph/dataset.h"
+#include "prep/pinned_pool.h"
 #include "prep/slicing.h"
 #include "sampling/fast_sampler.h"
+#include "tensor/quantize.h"
+#include "util/half.h"
 
 namespace salient {
 namespace {
@@ -239,6 +244,133 @@ TEST(DeviceSim, PipelinedTransfersOverlapWithCompute) {
   EXPECT_TRUE(copy_done.load());
   EXPECT_FALSE(kernel_done.load());  // compute still busy: overlap achieved
   dev.compute_stream().synchronize();
+}
+
+// --- wire -> f32 feature assembly --------------------------------------------
+
+/// Reference assembly: convert every transferred wire row to an f32
+/// temporary first, then scatter the cache hits and the converted misses
+/// by the plan.
+Tensor convert_then_scatter(const PreparedBatch& b, const CachePlan* plan,
+                            const FeatureCache* cache) {
+  const std::int64_t f = b.x.size(1);
+  Tensor wire_f32(b.x.shape(), DType::kF32);
+  switch (b.x.dtype()) {
+    case DType::kF16:
+      half_to_float_n(b.x.data<Half>(), wire_f32.data<float>(),
+                      static_cast<std::size_t>(b.x.numel()));
+      break;
+    case DType::kF32:
+      std::memcpy(wire_f32.raw(), b.x.raw(), b.x.nbytes());
+      break;
+    default:
+      for (std::int64_t i = 0; i < b.x.size(0); ++i) {
+        ops::dequantize_row(b.x.data<std::int8_t>() + i * f, f,
+                            b.x_scale.data<float>()[i],
+                            b.x_zero.data<float>()[i],
+                            wire_f32.data<float>() + i * f);
+      }
+  }
+  if (plan == nullptr) return wire_f32;
+  const Tensor& hits =
+      plan->hit_rows.defined() ? plan->hit_rows : cache->features();
+  const auto n = static_cast<std::int64_t>(plan->from_cache.size());
+  Tensor out({n, f}, DType::kF32);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    const Tensor& src = plan->from_cache[idx] ? hits : wire_f32;
+    std::memcpy(out.data<float>() + i * f,
+                src.data<float>() + plan->source[idx] * f,
+                static_cast<std::size_t>(f) * sizeof(float));
+  }
+  return out;
+}
+
+void expect_bitwise_equal(const Tensor& got, const Tensor& want,
+                          const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), want.nbytes()), 0) << what;
+}
+
+TEST(AssembleFeatures, BitwiseEqualsConvertThenScatter) {
+  const Dataset& ds = dev_dataset();
+  FastSampler sampler(ds.graph, {4, 3});
+  std::vector<NodeId> seeds(ds.train_idx.begin(), ds.train_idx.begin() + 64);
+  const Mfg mfg = sampler.sample(seeds, 21);
+  const auto all = ds.graph.num_nodes();
+  CachePolicyConfig lru;
+  lru.kind = CachePolicyKind::kLru;
+  struct Case {
+    const char* name;
+    std::shared_ptr<FeatureCache> cache;  // null: no plan
+  };
+  PinnedPool pool;
+  DeviceSim dev;
+  for (const DType wire : {DType::kF16, DType::kF32, DType::kInt8Q}) {
+    // Fresh caches per wire: planning admits into the LRU cache.
+    const std::vector<Case> cases{
+        {"no plan", nullptr},
+        {"static, mixed", std::make_shared<FeatureCache>(ds, 300)},
+        {"dynamic, mixed", std::make_shared<FeatureCache>(ds, all, lru)},
+        {"all hits", std::make_shared<FeatureCache>(ds, all)},
+        {"all misses", std::make_shared<FeatureCache>(ds, 0)},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(dtype_name(wire)) + ", " + c.name);
+      std::shared_ptr<const CachePlan> plan;
+      if (c.cache) {
+        if (c.cache->dynamic_policy()) {
+          // Admit half the input set first, so the plan mixes snapshot hits
+          // with misses.
+          Mfg warm;
+          warm.n_ids.assign(mfg.n_ids.begin(),
+                            mfg.n_ids.begin() + static_cast<std::ptrdiff_t>(
+                                                    mfg.n_ids.size() / 2));
+          (void)plan_cached_batch(warm, *c.cache);
+        }
+        plan = std::make_shared<CachePlan>(plan_cached_batch(mfg, *c.cache));
+      }
+      PreparedBatch b;
+      b.mfg = mfg;
+      stage_feature_rows(ds.features,
+                         plan ? missing_node_ids(mfg, *plan) : mfg.n_ids,
+                         wire, pool, b);
+      b.y = pool.acquire({mfg.batch_size}, DType::kI64);
+      slice_labels(ds.labels,
+                   {mfg.n_ids.data(), static_cast<std::size_t>(mfg.batch_size)},
+                   b.y);
+      const Tensor want = convert_then_scatter(b, plan.get(), c.cache.get());
+
+      Tensor direct(want.shape(), DType::kF32);
+      assemble_features(b.x, b.x_scale, b.x_zero, plan.get(),
+                        c.cache ? c.cache->features() : Tensor(), direct);
+      expect_bitwise_equal(direct, want, "assemble_features");
+      const DeviceBatch d =
+          plan ? dev.transfer_batch_cached(b, *plan, *c.cache, true, nullptr)
+               : dev.transfer_batch(b, true, nullptr);
+      expect_bitwise_equal(d.x_f32, want, "device transfer");
+      if (plan && std::string(c.name) == "all hits") {
+        EXPECT_EQ(plan->num_missing, 0);
+      } else if (plan && std::string(c.name) == "all misses") {
+        EXPECT_EQ(plan->num_missing, static_cast<std::int64_t>(
+                                         mfg.n_ids.size()));
+      } else if (plan) {
+        EXPECT_GT(plan->num_missing, 0);
+        EXPECT_GT(plan->hit_rate(), 0.0);
+      }
+      release_batch_buffers(pool, std::move(b));
+    }
+  }
+}
+
+TEST(AssembleFeatures, RejectsUnknownWireAndMissingSidecars) {
+  Tensor out({2, 4}, DType::kF32);
+  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kI64), Tensor(),
+                                 Tensor(), nullptr, Tensor(), out),
+               std::invalid_argument);
+  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kInt8Q), Tensor(),
+                                 Tensor(), nullptr, Tensor(), out),
+               std::invalid_argument);
 }
 
 }  // namespace

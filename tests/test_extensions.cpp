@@ -103,7 +103,7 @@ TEST(FeatureCache, CachedTransferMatchesUncachedBitExactly) {
   cached.index = 0;
   cached.mfg = full.mfg;
   cached.x = Tensor({plan.num_missing, ds.feature_dim}, DType::kF16, true);
-  slice_missing_rows(ds, full.mfg, plan, cached.x);
+  slice_rows_serial(ds.features, missing_node_ids(full.mfg, plan), cached.x);
   cached.y = full.y;
 
   DeviceSim dev;

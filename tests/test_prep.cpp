@@ -3,7 +3,9 @@
 // loaders delivering exactly the right batches with correct contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <numeric>
 #include <set>
@@ -15,6 +17,7 @@
 #include "prep/pinned_pool.h"
 #include "prep/salient_loader.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 #include "tensor/quantize.h"
 #include "util/half.h"
@@ -95,6 +98,44 @@ TEST(PinnedPool, IgnoresUnpinnedRelease) {
   PinnedPool pool;
   pool.release(Tensor({4}, DType::kF32, /*pinned=*/false));
   EXPECT_EQ(pool.idle_count(), 0u);
+}
+
+TEST(PinnedPool, HoldsNoMoreThanThePeakOfLiveBytes) {
+  // Replays acquire/release sequences keeping `hold` buffers live (a
+  // pipeline's in-flight batches). Whatever sizes a run meets, the pool
+  // holds at most the most bytes that were live at once, counted in buffer
+  // capacities, and best-fit reuse keeps allocations rare.
+  auto replay = [](const std::vector<std::int64_t>& rows, std::size_t hold) {
+    PinnedPool pool;
+    std::deque<Tensor> live;
+    std::size_t live_bytes = 0;
+    std::size_t peak = 0;
+    auto release_oldest = [&] {
+      live_bytes -= live.front().storage()->nbytes();
+      pool.release(std::move(live.front()));
+      live.pop_front();
+    };
+    for (const std::int64_t r : rows) {
+      live.push_back(pool.acquire({r, 100}, DType::kF16));
+      live_bytes += live.back().storage()->nbytes();
+      peak = std::max(peak, live_bytes);
+      if (live.size() > hold) release_oldest();
+      EXPECT_LE(pool.allocated_bytes(), peak) << "after " << r << " rows";
+    }
+    while (!live.empty()) release_oldest();
+    EXPECT_LE(pool.allocated_bytes(), peak);
+    return pool.alloc_count();
+  };
+  // Fluctuating: 10k-24k rows per request, like a cluster node's staging.
+  std::vector<std::int64_t> fluctuating;
+  for (std::int64_t i = 0; i < 300; ++i) {
+    fluctuating.push_back(10000 + (i * 7919) % 14000);
+  }
+  EXPECT_LT(replay(fluctuating, 3), fluctuating.size() / 4);
+  // Ascending: every request outgrows every idle buffer.
+  std::vector<std::int64_t> ascending;
+  for (std::int64_t i = 1; i <= 60; ++i) ascending.push_back(700 * i);
+  replay(ascending, 2);
 }
 
 TEST(MfgSerialization, RoundTripsExactly) {
@@ -311,7 +352,7 @@ TEST(FeatureCache, SliceMissingRowsMatchesNaiveSlice) {
   ASSERT_LT(plan.num_missing, static_cast<std::int64_t>(mfg.n_ids.size()));
 
   Tensor out({plan.num_missing, ds.feature_dim}, DType::kF16);
-  slice_missing_rows(ds, mfg, plan, out);
+  slice_rows_serial(ds.features, missing_node_ids(mfg, plan), out);
   for (std::size_t i = 0; i < mfg.n_ids.size(); ++i) {
     if (plan.from_cache[i]) continue;
     const std::int64_t row = plan.source[i];
@@ -319,6 +360,90 @@ TEST(FeatureCache, SliceMissingRowsMatchesNaiveSlice) {
       ASSERT_EQ(out.at<Half>(row, j).bits,
                 ds.features.at<Half>(mfg.n_ids[i], j).bits)
           << "missing row " << row << " col " << j;
+    }
+  }
+}
+
+// --- prepare_batch -----------------------------------------------------------
+
+/// Same definedness, dtype, shape and bytes.
+void expect_same_tensor(const Tensor& got, const Tensor& want,
+                        const char* what) {
+  ASSERT_EQ(got.defined(), want.defined()) << what;
+  if (!want.defined()) return;
+  ASSERT_EQ(got.dtype(), want.dtype()) << what;
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), want.nbytes()), 0) << what;
+}
+
+TEST(PrepareBatch, EqualsTheStepsCalledOneByOne) {
+  // prepare_batch against the calls bench/e2e's traced replay makes in
+  // turn: sample -> plan_cached_batch -> missing_node_ids ->
+  // stage_feature_rows -> slice_labels, for every wire dtype and cache kind.
+  const Dataset& ds = small_dataset();
+  const std::vector<std::int64_t> fanouts{6, 4};
+  constexpr std::uint64_t kSeed = 99;
+  auto make_cache = [&](int kind) -> std::unique_ptr<FeatureCache> {
+    if (kind == 0) return nullptr;
+    CachePolicyConfig c;
+    c.kind = kind == 1 ? CachePolicyKind::kDegree : CachePolicyKind::kLru;
+    return std::make_unique<FeatureCache>(ds, 400, c);
+  };
+  for (const DType wire : {DType::kF16, DType::kF32, DType::kInt8Q}) {
+    for (const int kind : {0, 1, 2}) {  // no cache, degree, LRU
+      SCOPED_TRACE(std::string(dtype_name(wire)) + " cache kind " +
+                   std::to_string(kind));
+      // Two identical caches: an LRU plan mutates the cache it plans against.
+      const auto cache_got = make_cache(kind);
+      const auto cache_want = make_cache(kind);
+      FastSampler sampler_got(ds.graph, fanouts);
+      FastSampler sampler_want(ds.graph, fanouts);
+      PinnedPool pool;
+      bool saw_hits = false;
+      for (std::int64_t index = 0; index < 4; ++index) {
+        const std::span<const NodeId> seeds(ds.train_idx.data() + index * 64,
+                                            64);
+        PreparedBatch got = prepare_batch(sampler_got, ds, seeds, kSeed,
+                                          index, wire, pool, cache_got.get());
+
+        PreparedBatch want;
+        want.index = index;
+        want.mfg = sampler_want.sample(seeds, schedule_mix_seed(kSeed, index));
+        if (cache_want) {
+          auto plan = std::make_shared<CachePlan>(
+              plan_cached_batch(want.mfg, *cache_want));
+          stage_feature_rows(ds.features, missing_node_ids(want.mfg, *plan),
+                             wire, pool, want);
+          want.cache_plan = std::move(plan);
+        } else {
+          stage_feature_rows(ds.features, want.mfg.n_ids, wire, pool, want);
+        }
+        want.y = pool.acquire({want.mfg.batch_size}, DType::kI64);
+        slice_labels(ds.labels,
+                     {want.mfg.n_ids.data(),
+                      static_cast<std::size_t>(want.mfg.batch_size)},
+                     want.y);
+
+        EXPECT_EQ(got.index, want.index);
+        EXPECT_EQ(serialize_mfg(got.mfg), serialize_mfg(want.mfg));
+        expect_same_tensor(got.x, want.x, "x");
+        expect_same_tensor(got.x_scale, want.x_scale, "x_scale");
+        expect_same_tensor(got.x_zero, want.x_zero, "x_zero");
+        expect_same_tensor(got.y, want.y, "y");
+        ASSERT_EQ(got.cache_plan != nullptr, want.cache_plan != nullptr);
+        if (want.cache_plan) {
+          EXPECT_EQ(got.cache_plan->from_cache, want.cache_plan->from_cache);
+          EXPECT_EQ(got.cache_plan->source, want.cache_plan->source);
+          EXPECT_EQ(got.cache_plan->num_missing,
+                    want.cache_plan->num_missing);
+          expect_same_tensor(got.cache_plan->hit_rows,
+                             want.cache_plan->hit_rows, "hit_rows");
+          saw_hits |= want.cache_plan->hit_rate() > 0;
+        }
+        release_batch_buffers(pool, std::move(got));
+        release_batch_buffers(pool, std::move(want));
+      }
+      EXPECT_EQ(saw_hits, kind != 0);
     }
   }
 }

@@ -4,7 +4,10 @@
 // layer-wise full-neighborhood) work and agree closely.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "graph/dataset.h"
+#include "obs/metrics.h"
 #include "nn/models.h"
 #include "train/inference.h"
 #include "train/trainer.h"
@@ -269,27 +272,40 @@ TEST(Trainer, PipelinedInferenceMatchesDirectEvaluation) {
 
 TEST(Trainer, LazySamplingReplaysEpochsAndStillLearns) {
   const Dataset& ds = train_dataset();
-  auto model = nn::make_model("sage", model_config(ds, 65));
-  DeviceSim device;
-  TrainConfig tc = train_config();
-  tc.sampling_period = 3;  // resample on epochs 0 and 3; replay 1,2,4,5
-  Trainer trainer(ds, model, device, tc);
-  const EpochStats fresh = trainer.train_epoch(0);
-  const EpochStats replay1 = trainer.train_epoch(1);
-  const EpochStats replay2 = trainer.train_epoch(2);
-  const EpochStats fresh2 = trainer.train_epoch(3);
-  EpochStats last;
-  for (int e = 4; e < 8; ++e) last = trainer.train_epoch(e);
+  // A replayed batch keeps every wire field: an i8q batch that lost its
+  // scale/zero sidecars fails to dequantize on the compute stream, which
+  // only counts the error and trains on all-zero features (loss ln C).
+  const obs::Counter& work_errors =
+      obs::Registry::global().counter("stream.work_errors");
+  for (const DType wire : {DType::kF16, DType::kInt8Q}) {
+    SCOPED_TRACE(dtype_name(wire));
+    const std::int64_t errors_before = work_errors.value();
+    auto model = nn::make_model("sage", model_config(ds, 65));
+    DeviceSim device;
+    TrainConfig tc = train_config();
+    tc.loader.feature_dtype = wire;
+    tc.sampling_period = 3;  // resample on epochs 0 and 3; replay 1,2,4,5
+    Trainer trainer(ds, model, device, tc);
+    const EpochStats fresh = trainer.train_epoch(0);
+    const EpochStats replay1 = trainer.train_epoch(1);
+    const EpochStats replay2 = trainer.train_epoch(2);
+    const EpochStats fresh2 = trainer.train_epoch(3);
+    EpochStats last;
+    for (int e = 4; e < 8; ++e) last = trainer.train_epoch(e);
 
-  // Replay epochs skip batch preparation entirely.
-  EXPECT_EQ(replay1.num_batches, fresh.num_batches);
-  EXPECT_EQ(replay2.num_batches, fresh.num_batches);
-  EXPECT_DOUBLE_EQ(replay1.blocking.total(Phase::kSample), 0.0);
-  EXPECT_DOUBLE_EQ(replay2.blocking.total(Phase::kSample), 0.0);
-  EXPECT_EQ(fresh2.num_batches, fresh.num_batches);
-  // And the lazy schedule still converges (LazyGCN's claim).
-  EXPECT_LT(last.mean_loss, fresh.mean_loss * 0.8);
-  EXPECT_GT(last.train_accuracy, 0.5);
+    // Replay epochs skip batch preparation entirely.
+    EXPECT_EQ(replay1.num_batches, fresh.num_batches);
+    EXPECT_EQ(replay2.num_batches, fresh.num_batches);
+    EXPECT_DOUBLE_EQ(replay1.blocking.total(Phase::kSample), 0.0);
+    EXPECT_DOUBLE_EQ(replay2.blocking.total(Phase::kSample), 0.0);
+    EXPECT_EQ(fresh2.num_batches, fresh.num_batches);
+    // Replays train on the real features...
+    EXPECT_EQ(work_errors.value(), errors_before);
+    EXPECT_LT(replay1.mean_loss, std::log(static_cast<double>(ds.num_classes)));
+    // ...and the lazy schedule still converges (LazyGCN's claim).
+    EXPECT_LT(last.mean_loss, fresh.mean_loss * 0.8);
+    EXPECT_GT(last.train_accuracy, 0.5);
+  }
 }
 
 TEST(Trainer, GatAndGinTrainWithoutError) {
