@@ -164,11 +164,14 @@ ClusterTrainer::ClusterTrainer(const Dataset& dataset, ClusterConfig config)
     throw std::invalid_argument(
         "cluster: sim_train_us_per_input_row must be >= 0");
   }
-  // The caches must estimate the trainer's own workload: same fanouts,
-  // global batch size and seed family, whatever the caller put in `cache`.
-  config_.cache.fanouts = config_.fanouts;
-  config_.cache.batch_size = config_.batch_size;
-  config_.cache.seed = config_.seed;
+  // The presample warmup replays the trainer's own workload: its fanouts,
+  // global batch size and seed family.
+  CachePolicyConfig policy;
+  policy.kind = config_.cache.policy;
+  policy.presample_epochs = config_.cache.presample_epochs;
+  policy.fanouts = config_.fanouts;
+  policy.batch_size = config_.batch_size;
+  policy.seed = config_.seed;
 
   const int world = config_.partition.num_nodes;
   node_clock_.assign(static_cast<std::size_t>(world), 0.0);
@@ -178,7 +181,7 @@ ClusterTrainer::ClusterTrainer(const Dataset& dataset, ClusterConfig config)
     optimizers_.push_back(std::make_unique<optim::Adam>(
         models_.back()->parameters(), config_.lr));
     caches_.push_back(std::make_unique<RemoteFeatureCache>(
-        dataset_, partition_, p, config_.cache));
+        dataset_, partition_, p, config_.cache.cache_percentage, policy));
   }
 }
 
@@ -209,8 +212,7 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
 
   // Same epoch-seed derivation and shuffle as the single-node trainer
   // (train/trainer.cpp + prep/salient_loader.cpp) — the parity anchor.
-  const std::uint64_t epoch_seed =
-      config_.seed * 0x10001ull + static_cast<std::uint64_t>(epoch) + 1;
+  const std::uint64_t epoch_seed = schedule_epoch_seed(config_.seed, epoch);
   std::vector<NodeId> order = dataset_.train_idx;
   schedule_shuffle(order, epoch_seed);
   const auto total = static_cast<std::int64_t>(order.size());

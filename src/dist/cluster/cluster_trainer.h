@@ -58,9 +58,9 @@ struct ClusterConfig {
   ClusterPartitionConfig partition;
   /// Interconnect model: bandwidth, latency, framing, retry budget.
   InterconnectConfig net;
-  /// Per-node remote-feature cache. Its `fanouts`, `batch_size` and `seed`
-  /// are overwritten with the trainer's own so the presample warmup always
-  /// estimates the true workload.
+  /// Per-node remote-feature cache: policy, capacity and warmup epochs. The
+  /// presample warmup replays this config's own fanouts, batch size and
+  /// seed.
   RemoteCacheConfig cache;
   /// Model architecture name (nn::make_model).
   std::string arch = "sage";
@@ -71,8 +71,8 @@ struct ClusterConfig {
   std::vector<std::int64_t> fanouts{15, 10, 5};
   /// Global mini-batch size (split across nodes by chunk_range).
   std::int64_t batch_size = 1024;
-  /// Base seed; epoch seeds derive as seed*0x10001 + epoch + 1, matching
-  /// the single-node trainer.
+  /// Base seed; epoch seeds derive with schedule_epoch_seed, matching the
+  /// single-node trainer.
   std::uint64_t seed = 1;
   /// Adam learning rate.
   double lr = 3e-3;
@@ -180,7 +180,7 @@ class ClusterTrainer {
   Interconnect& interconnect() { return net_; }
   /// Number of cluster nodes.
   int num_nodes() const { return config_.partition.num_nodes; }
-  /// The cluster's full configuration (after the cache-config overwrite).
+  /// The cluster's full configuration.
   const ClusterConfig& config() const { return config_; }
 
  private:

@@ -7,10 +7,11 @@
 // remote features replicated locally, and — the SALIENT++ idea — drives
 // which those are from neighborhood-expansion frequency estimates computed
 // by presampling the node's own slice of the training schedule, rather than
-// from recency. It is a thin partition-aware layer over the single-node
-// FeatureCache/CachePolicy machinery (prep/cache_policy.h): the policies
-// here restrict candidacy to remote vertices and delegate everything else,
-// which is exactly the reuse that interface was built for.
+// from recency. The cache is a FeatureCache built by make_cache_policy
+// (prep/cache_policy.h) from a partitioned config, so the degree, presample
+// and LRU policies are the device cache's own, restricted to the vertices
+// the node does not own; what this layer adds is the per-batch plan that
+// splits rows into owned, cached and per-owner fetches.
 #pragma once
 
 #include <cstdint>
@@ -25,29 +26,20 @@
 
 namespace salient::dist {
 
-/// Configuration of one node's remote-feature cache.
+/// The cache knobs of a cluster (ClusterConfig::cache); the warmup's
+/// workload shape is the trainer's own fanouts, batch size and seed.
 struct RemoteCacheConfig {
   /// Placement policy. kDegree and kPresample pin statically over remote
-  /// candidates; kLru admits remote misses dynamically; kAuto falls back to
+  /// candidates; kLru admits remote misses dynamically; kAuto resolves to
   /// kPresample (the auto probe measures single-node hit rate, which is the
   /// wrong objective here).
   CachePolicyKind policy = CachePolicyKind::kPresample;
-  /// Cache capacity as a fraction of |V| in [0, 1] per node.
+  /// Cache capacity as a fraction of |V| in [0, 1] per node, clamped to the
+  /// node's remote-vertex count.
   double cache_percentage = 0.0;
-  /// Absolute per-node capacity override; the effective capacity is
-  /// max(capacity_nodes, cache_percentage * |V|), clamped to the node's
-  /// remote-vertex count.
-  std::int64_t capacity_nodes = 0;
   /// Presample policy: warmup epochs K (>= 1) over the node's slice of the
   /// cluster training schedule.
   int presample_epochs = 2;
-  /// Sampling fanouts of the target workload, outermost first.
-  std::vector<std::int64_t> fanouts{15, 10, 5};
-  /// Global (cluster-wide) mini-batch size of the target workload.
-  std::int64_t batch_size = 1024;
-  /// Base seed of the target workload (the ClusterTrainer's loader seed);
-  /// warmup epochs derive per-epoch seeds from it exactly like training.
-  std::uint64_t seed = 1;
 };
 
 /// One per-owner remote fetch of a batch's missing rows.
@@ -95,12 +87,15 @@ struct RemotePlan {
 /// always-fetch cache, which is how the uncached baseline is modelled.
 class RemoteFeatureCache {
  public:
-  /// Build node `node`'s cache over `dataset` under `partition`. Both are
-  /// borrowed and must outlive the cache.
-  /// \throws std::invalid_argument on an out-of-range node or a config the
-  /// underlying policy rejects.
+  /// Build node `node`'s cache over `dataset` under `partition`, holding up
+  /// to `cache_percentage * |V|` rows (clamped to the node's remote-vertex
+  /// count) placed by `policy`, whose partition and node this sets. Both
+  /// borrowed objects must outlive the cache.
+  /// \throws std::invalid_argument on an out-of-range node or a config
+  /// make_cache_policy rejects, before any warmup runs.
   RemoteFeatureCache(const Dataset& dataset, const ClusterPartition& partition,
-                     int node, const RemoteCacheConfig& config);
+                     int node, double cache_percentage,
+                     CachePolicyConfig policy);
 
   /// Classify a sampled batch: cache hits, locally owned rows, and the
   /// per-owner remote fetch lists, and lay out the missing rows' staging
@@ -108,19 +103,13 @@ class RemoteFeatureCache {
   /// `dist.cache.row_{hits,misses}` metrics (remote rows only).
   RemotePlan plan(const Mfg& mfg) const;
 
-  /// The underlying feature cache (resident rows, f32 feature matrix).
+  /// The underlying feature cache: resident rows, capacity after the
+  /// remote-vertex clamp, policy name.
   const FeatureCache& cache() const { return cache_; }
-  /// Effective capacity in rows (after clamping).
-  std::int64_t capacity() const { return cache_.capacity(); }
-  /// The governing policy's canonical name.
-  const char* policy_name() const { return cache_.policy_name(); }
-  /// The node this cache belongs to.
-  int node() const { return node_; }
 
  private:
   const ClusterPartition* partition_;  ///< borrowed; outlives the cache
   int node_ = 0;
-  std::int64_t num_remote_ = 0;  ///< remote-vertex count (capacity clamp)
   FeatureCache cache_;
 };
 

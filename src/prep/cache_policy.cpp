@@ -39,14 +39,28 @@ std::vector<NodeId> resolve_seeds(const Dataset& ds, PresampleSeeds which) {
   return out;
 }
 
-/// Top-`capacity` vertices under `better` (a strict weak order over node
-/// ids). The result is sorted by `better`, so slot order is deterministic.
+/// Whether the cache `config` describes may hold `v`: any vertex of a
+/// single-node cache, only a vertex its node does not own for a partitioned
+/// one (an owned row never crosses the interconnect).
+bool is_candidate(const CachePolicyConfig& config, NodeId v) {
+  return config.partition == nullptr ||
+         config.partition->part_of(v) != config.node;
+}
+
+/// Top-`capacity` candidate vertices under `better` (a strict weak order
+/// over node ids). The result is sorted by `better`, so slot order is
+/// deterministic.
 template <class Cmp>
-std::vector<NodeId> top_nodes(std::int64_t num_nodes, std::int64_t capacity,
-                              Cmp better) {
-  std::vector<NodeId> order(static_cast<std::size_t>(num_nodes));
-  std::iota(order.begin(), order.end(), 0);
-  capacity = std::clamp<std::int64_t>(capacity, 0, num_nodes);
+std::vector<NodeId> top_nodes(const Dataset& dataset,
+                              const CachePolicyConfig& config,
+                              std::int64_t capacity, Cmp better) {
+  std::vector<NodeId> order;
+  order.reserve(static_cast<std::size_t>(dataset.graph.num_nodes()));
+  for (NodeId v = 0; v < dataset.graph.num_nodes(); ++v) {
+    if (is_candidate(config, v)) order.push_back(v);
+  }
+  capacity = std::clamp<std::int64_t>(capacity, 0,
+                                      static_cast<std::int64_t>(order.size()));
   std::nth_element(order.begin(),
                    order.begin() + static_cast<std::ptrdiff_t>(capacity),
                    order.end(), better);
@@ -59,24 +73,31 @@ std::vector<NodeId> top_nodes(std::int64_t num_nodes, std::int64_t capacity,
 /// Ties break toward the smaller id, so placement is fully deterministic.
 class DegreePolicy final : public CachePolicy {
  public:
+  explicit DegreePolicy(CachePolicyConfig config)
+      : config_(std::move(config)) {}
+
   const char* name() const override { return "degree"; }
 
   std::vector<NodeId> pin(const Dataset& dataset,
                           std::int64_t capacity) override {
-    return top_nodes(dataset.graph.num_nodes(), capacity,
-                     [&](NodeId a, NodeId b) {
-                       const auto da = dataset.graph.degree(a);
-                       const auto db = dataset.graph.degree(b);
-                       return da != db ? da > db : a < b;
-                     });
+    return top_nodes(dataset, config_, capacity, [&](NodeId a, NodeId b) {
+      const auto da = dataset.graph.degree(a);
+      const auto db = dataset.graph.degree(b);
+      return da != db ? da > db : a < b;
+    });
   }
+
+ private:
+  CachePolicyConfig config_;
 };
 
 /// Static presample-based pinning: K warmup sampling epochs through
 /// FastSampler, vertex access counts in a FrequencyTable, top-x% pinned.
 /// Zero-count ties fall back to degree order, so an interrupted warmup
 /// (the `prep.cache.presample.abort` failpoint) degrades gracefully to the
-/// degree policy instead of pinning arbitrary rows.
+/// degree policy instead of pinning arbitrary rows. A partitioned cache
+/// samples its node's chunk of each batch under ClusterTrainer's epoch and
+/// chunk seeds (the SALIENT++ scheme).
 class PresamplePolicy final : public CachePolicy {
  public:
   explicit PresamplePolicy(CachePolicyConfig config)
@@ -86,6 +107,7 @@ class PresamplePolicy final : public CachePolicy {
 
   std::vector<NodeId> pin(const Dataset& dataset,
                           std::int64_t capacity) override {
+    if (capacity <= 0) return {};  // nothing to place: skip the warmup
     SALIENT_TRACE_SCOPE("prep.cache.presample");
     auto& reg = obs::Registry::global();
     static obs::Counter& m_batches = reg.counter("prep.presample.batches");
@@ -99,6 +121,10 @@ class PresamplePolicy final : public CachePolicy {
     const std::int64_t batch = std::max<std::int64_t>(1, config_.batch_size);
     const auto total = static_cast<std::int64_t>(seeds.size());
     const std::int64_t num_batches = (total + batch - 1) / batch;
+    // A single-node cache is node 0 of a 1-node cluster: its chunk is the
+    // whole batch and its chunk seed the loader's per-batch seed.
+    const int world = config_.partition ? config_.partition->num_parts : 1;
+    const int node = config_.partition ? config_.node : 0;
     std::atomic<bool> aborted{false};
     std::atomic<std::int64_t> counted{0};
 
@@ -106,7 +132,7 @@ class PresamplePolicy final : public CachePolicy {
       if (aborted.load(std::memory_order_relaxed)) break;
       SALIENT_TRACE_SCOPE("prep.cache.presample.epoch");
       const std::uint64_t epoch_seed =
-          config_.seed * 0x10001ull + static_cast<std::uint64_t>(epoch) + 1;
+          schedule_epoch_seed(config_.seed, epoch);
       schedule_shuffle(seeds, epoch_seed);
 
       auto count_range = [&](std::int64_t begin, std::int64_t end) {
@@ -121,11 +147,16 @@ class PresamplePolicy final : public CachePolicy {
             return;
           }
           const std::int64_t lo = b * batch;
-          const std::int64_t hi = std::min(total, lo + batch);
+          const ChunkRange chunk =
+              chunk_range(std::min(total, lo + batch) - lo, world, node);
+          if (chunk.empty()) continue;
           const Mfg mfg = sampler.sample(
-              {seeds.data() + lo, static_cast<std::size_t>(hi - lo)},
-              schedule_mix_seed(epoch_seed, b));
-          for (const NodeId v : mfg.n_ids) freq.add(v);
+              {seeds.data() + lo + chunk.begin,
+               static_cast<std::size_t>(chunk.size())},
+              schedule_mix_seed(epoch_seed, b * world + node));
+          for (const NodeId v : mfg.n_ids) {
+            if (is_candidate(config_, v)) freq.add(v);
+          }
           counted.fetch_add(1, std::memory_order_relaxed);
         }
       };
@@ -145,7 +176,7 @@ class PresamplePolicy final : public CachePolicy {
     for (const auto& [v, c] : freq.items()) {
       counts[static_cast<std::size_t>(v)] = c;
     }
-    return top_nodes(n, capacity, [&](NodeId a, NodeId b) {
+    return top_nodes(dataset, config_, capacity, [&](NodeId a, NodeId b) {
       const auto ca = counts[static_cast<std::size_t>(a)];
       const auto cb = counts[static_cast<std::size_t>(b)];
       if (ca != cb) return ca > cb;
@@ -160,11 +191,13 @@ class PresamplePolicy final : public CachePolicy {
 };
 
 /// Dynamic least-recently-used admission/eviction over the cache's slots:
-/// cold start, admit every miss, evict the slot whose last touch is oldest.
-/// Recency is an intrusive doubly-linked list over slot indices — O(1) per
-/// hook. All hooks run under the FeatureCache lock.
+/// cold start, admit every candidate miss, evict the slot whose last touch
+/// is oldest. Recency is an intrusive doubly-linked list over slot indices —
+/// O(1) per hook. All hooks run under the FeatureCache lock.
 class LruPolicy final : public CachePolicy {
  public:
+  explicit LruPolicy(CachePolicyConfig config) : config_(std::move(config)) {}
+
   const char* name() const override { return "lru"; }
   bool dynamic() const override { return true; }
 
@@ -180,8 +213,7 @@ class LruPolicy final : public CachePolicy {
   }
 
   std::int64_t admit(NodeId v) override {
-    (void)v;
-    if (capacity_ == 0) return -1;
+    if (capacity_ == 0 || !is_candidate(config_, v)) return -1;
     std::int64_t slot;
     if (used_ < capacity_) {
       slot = used_++;
@@ -223,6 +255,7 @@ class LruPolicy final : public CachePolicy {
     if (tail_ < 0) tail_ = slot;
   }
 
+  CachePolicyConfig config_;
   std::int64_t capacity_ = 0;
   std::int64_t used_ = 0;
   std::int64_t head_ = -1, tail_ = -1;
@@ -353,14 +386,24 @@ std::unique_ptr<CachePolicy> make_cache_policy(
   if (config.batch_size < 1) {
     throw std::invalid_argument("cache policy: batch_size must be >= 1");
   }
+  if (config.partition != nullptr &&
+      (config.node < 0 || config.node >= config.partition->num_parts)) {
+    throw std::invalid_argument("cache policy: node out of range");
+  }
   switch (config.kind) {
     case CachePolicyKind::kLru:
-      return std::make_unique<LruPolicy>();
+      return std::make_unique<LruPolicy>(config);
     case CachePolicyKind::kDegree:
-      return std::make_unique<DegreePolicy>();
+      return std::make_unique<DegreePolicy>(config);
     case CachePolicyKind::kPresample:
       return std::make_unique<PresamplePolicy>(config);
     case CachePolicyKind::kAuto:
+      // The auto probe measures single-node row hit rate, the wrong
+      // objective for a partitioned cache (remote traffic): place by
+      // presample there.
+      if (config.partition != nullptr) {
+        return std::make_unique<PresamplePolicy>(config);
+      }
       return std::make_unique<AutoPolicy>(config);
   }
   throw std::invalid_argument("unknown cache policy kind");

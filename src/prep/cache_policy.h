@@ -8,8 +8,9 @@
 // stream is a near-stationary power law, so recency learns nothing that
 // frequency does not already know, while paying admission/eviction churn on
 // every batch. This header makes the policy a first-class, swappable object
-// so the same cache body serves all of them, and so the distributed
-// remote-feature cache (ROADMAP item 1) can reuse the interface unchanged.
+// so the same cache body serves all of them: the device and serving caches,
+// and each cluster node's remote-feature cache, whose partitioned config
+// restricts the same policies to the vertices the node does not own.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "graph/dataset.h"
+#include "graph/partition.h"
 
 /// \file
 /// \brief The CachePolicy interface and its configuration: pluggable
@@ -62,8 +64,8 @@ enum class PresampleSeeds : std::uint8_t {
 
 /// Everything a policy needs beyond the dataset: the sampling shape of the
 /// workload it should optimize for, and its own tuning knobs. Owners
-/// (Trainer, InferenceServer) fill this from their loader/serve configs so
-/// the warmup epochs match the real workload's fanouts and batch size.
+/// (Trainer, InferenceServer, ClusterTrainer) fill this from their configs
+/// so the warmup epochs match the real workload's fanouts and batch size.
 struct CachePolicyConfig {
   /// Which policy to build (the `--cache-policy` CLI knob).
   CachePolicyKind kind = CachePolicyKind::kDegree;
@@ -86,6 +88,15 @@ struct CachePolicyConfig {
   /// Auto: probe batches planned per candidate policy when measuring
   /// hit rates.
   int auto_probe_batches = 8;
+  /// Partitioned caches (one cluster node's remote cache): the vertex ->
+  /// node assignment, borrowed; it must outlive the policy. With it the
+  /// policies never pin, count or admit a vertex `node` owns, the presample
+  /// warmup samples only `node`'s chunk of each batch (the cluster
+  /// schedule), and kAuto resolves to kPresample. Null: a single-node cache.
+  const GraphPartition* partition = nullptr;
+  /// Partitioned caches: the node the cache belongs to, in
+  /// [0, partition->num_parts).
+  int node = 0;
 };
 
 /// Strategy interface deciding which feature rows live in a FeatureCache.
@@ -102,10 +113,6 @@ struct CachePolicyConfig {
 ///    victim slot to overwrite or declines the admission. Both hooks are
 ///    invoked by FeatureCache under its internal cache lock, so
 ///    implementations need no synchronization of their own.
-///
-/// The contract is deliberately minimal so the distributed remote-feature
-/// cache (ROADMAP item 1) can implement it over per-node remote-vertex sets
-/// without touching the cache body.
 class CachePolicy {
  public:
   virtual ~CachePolicy() = default;
@@ -143,7 +150,8 @@ class CachePolicy {
 
 /// Build a policy from `config` (the factory behind the `--cache-policy`
 /// knob). \throws std::invalid_argument on invalid configuration (e.g.
-/// presample_epochs < 1).
+/// presample_epochs < 1, or a partitioned config whose node is out of
+/// range), before any warmup runs.
 std::unique_ptr<CachePolicy> make_cache_policy(const CachePolicyConfig& config);
 
 }  // namespace salient

@@ -70,6 +70,10 @@ std::uint64_t schedule_mix_seed(std::uint64_t seed, std::int64_t index) {
   return sm.next();
 }
 
+std::uint64_t schedule_epoch_seed(std::uint64_t seed, int epoch) {
+  return seed * 0x10001ull + static_cast<std::uint64_t>(epoch) + 1;
+}
+
 void schedule_shuffle(std::vector<NodeId>& nodes, std::uint64_t seed) {
   Xoshiro256ss rng(seed);
   for (std::size_t i = nodes.size(); i > 1; --i) {

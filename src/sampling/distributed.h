@@ -45,8 +45,8 @@ struct ChunkRange {
 /// num_nodes == 1 the range is the whole batch, which is what lets a 1-node
 /// cluster replay the single-node loader's batches exactly
 /// (docs/DISTRIBUTED.md). Deterministic; both the ClusterTrainer's runtime
-/// schedule and the remote presample warmup use it so frequency estimation
-/// sees the true per-node workload.
+/// schedule and a partitioned cache's presample warmup use it so frequency
+/// estimation sees the true per-node workload.
 ChunkRange chunk_range(std::int64_t rows, int num_nodes, int node);
 
 /// The per-batch sampler seed, SplitMix64 over seed ^ golden-ratio *
@@ -59,6 +59,12 @@ ChunkRange chunk_range(std::int64_t rows, int num_nodes, int node);
 /// bitwise-parity guarantee (docs/DISTRIBUTED.md). The presample warmups use
 /// the same mixing so they count the exact expansions training will sample.
 std::uint64_t schedule_mix_seed(std::uint64_t seed, std::int64_t index);
+
+/// The seed of epoch `epoch` of a run seeded with `seed`:
+/// seed * 0x10001 + epoch + 1; the only one in the library. Both trainers
+/// and the presample warmup seed their epochs with it, which keeps the
+/// 1-node cluster on the single-node trainer's schedule.
+std::uint64_t schedule_epoch_seed(std::uint64_t seed, int epoch);
 
 /// The deterministic epoch shuffle (Fisher-Yates over Xoshiro256ss(seed));
 /// the only one in the library, shared by the loaders, the cache-policy

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <stdexcept>
 
 #include "autograd/functions.h"
 #include "obs/trace.h"
 #include "nn/loss.h"
 #include "prep/baseline_loader.h"
 #include "prep/salient_loader.h"
+#include "sampling/distributed.h"
 #include "tensor/ops.h"
 
 namespace salient {
@@ -21,6 +23,12 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
       config_(std::move(config)),
       optimizer_(model_->parameters(), config_.lr),
       pool_(std::make_shared<PinnedPool>()) {
+  if (config_.loader_kind == LoaderKind::kBaseline &&
+      config_.execution == ExecutionMode::kPipelined) {
+    // The pipelined loop runs SalientLoader; there is no pipelined baseline.
+    throw std::invalid_argument(
+        "trainer: the baseline loader runs only with blocking execution");
+  }
   const auto cache_nodes = static_cast<std::int64_t>(
       config_.loader.cache_percentage *
       static_cast<double>(dataset_.graph.num_nodes()));
@@ -70,8 +78,7 @@ DeviceBatch Trainer::transfer(const PreparedBatch& batch, bool blocking,
 
 EpochStats Trainer::train_epoch(int epoch) {
   LoaderConfig epoch_cfg = config_.loader;
-  epoch_cfg.seed = config_.loader.seed * 0x10001ull +
-                   static_cast<std::uint64_t>(epoch) + 1;
+  epoch_cfg.seed = schedule_epoch_seed(config_.loader.seed, epoch);
   model_->train(true);
 
   if (config_.execution == ExecutionMode::kPipelined) {

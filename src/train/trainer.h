@@ -67,6 +67,8 @@ class Trainer {
  public:
   /// The trainer borrows dataset/device and shares the model; all must
   /// outlive it. The Adam optimizer is created over the model parameters.
+  /// \throws std::invalid_argument for the baseline loader with pipelined
+  /// execution (the pipelined loop always runs SalientLoader).
   Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
           DeviceSim& device, TrainConfig config);
 

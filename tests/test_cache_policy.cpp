@@ -3,7 +3,8 @@
 // shared CachePolicy interface (parity of plan classification, missing-row
 // slicing, and device assembly across static and dynamic policies), LRU
 // admission/eviction/recency semantics, presample determinism across warmup
-// pool sizes, and auto-selection on a skewed access stream.
+// pool sizes, partitioned placement over a cluster node's schedule, and
+// auto-selection on a skewed access stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,13 @@
 
 #include "device/device_sim.h"
 #include "graph/dataset.h"
+#include "graph/partition.h"
 #include "obs/metrics.h"
 #include "prep/cache_policy.h"
 #include "prep/feature_cache.h"
 #include "prep/frequency_table.h"
 #include "prep/slicing.h"
+#include "sampling/distributed.h"
 #include "sampling/fast_sampler.h"
 #include "util/thread_pool.h"
 
@@ -134,6 +137,14 @@ TEST(CachePolicy, FactoryValidatesConfig) {
   bad = policy_config(CachePolicyKind::kPresample);
   bad.batch_size = 0;
   EXPECT_THROW(make_cache_policy(bad), std::invalid_argument);
+  GraphPartition two_nodes;
+  two_nodes.num_parts = 2;
+  bad = policy_config(CachePolicyKind::kPresample);
+  bad.partition = &two_nodes;
+  for (const int node : {-1, 2}) {
+    bad.node = node;
+    EXPECT_THROW(make_cache_policy(bad), std::invalid_argument);
+  }
 }
 
 // --- interface contract ------------------------------------------------------
@@ -370,6 +381,92 @@ TEST(PresamplePolicy, BeatsUniformPlacementOnSampledStream) {
   const double uniform_rate = static_cast<double>(capacity) /
                               static_cast<double>(ds.graph.num_nodes());
   EXPECT_GT(hits / total, 2.0 * uniform_rate);
+}
+
+// --- partitioned (a cluster node's remote cache) -----------------------------
+
+/// A static cache's resident vertices in slot order.
+std::vector<NodeId> slot_order(const FeatureCache& cache) {
+  std::vector<NodeId> out = cache.resident_nodes();
+  std::sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
+    return cache.slot_of(a) < cache.slot_of(b);
+  });
+  return out;
+}
+
+TEST(PartitionedPolicies, RankOnlyRemoteVerticesOverTheNodesSchedule) {
+  // Reference: node p's warmup counts the vertices it does not own in its
+  // chunk of every batch, seeded as ClusterTrainer seeds that chunk; degree
+  // ranks the same candidates by degree alone. Both break ties by degree,
+  // then id.
+  const Dataset& ds = policy_dataset();
+  const int world = 3;
+  const GraphPartition part = partition_random(ds.graph, world, 11);
+  const std::int64_t capacity = 200;
+  auto& presample_batches =
+      obs::Registry::global().counter("prep.presample.batches");
+  for (int node = 0; node < world; ++node) {
+    CachePolicyConfig cfg = policy_config(CachePolicyKind::kPresample);
+    cfg.partition = &part;
+    cfg.node = node;
+    cfg.presample_workers = node;  // serial and pooled warmups agree
+
+    std::vector<std::int64_t> counts(
+        static_cast<std::size_t>(ds.graph.num_nodes()), 0);
+    std::vector<NodeId> seeds = ds.train_idx;
+    const auto total = static_cast<std::int64_t>(seeds.size());
+    FastSampler sampler(ds.graph, cfg.fanouts);
+    for (int epoch = 0; epoch < cfg.presample_epochs; ++epoch) {
+      const std::uint64_t epoch_seed = schedule_epoch_seed(cfg.seed, epoch);
+      schedule_shuffle(seeds, epoch_seed);
+      for (std::int64_t b = 0; b * cfg.batch_size < total; ++b) {
+        const std::int64_t lo = b * cfg.batch_size;
+        const ChunkRange c = chunk_range(
+            std::min(total, lo + cfg.batch_size) - lo, world, node);
+        if (c.empty()) continue;
+        const Mfg mfg = sampler.sample(
+            {seeds.data() + lo + c.begin, static_cast<std::size_t>(c.size())},
+            schedule_mix_seed(epoch_seed, b * world + node));
+        for (const NodeId v : mfg.n_ids) {
+          if (part.part_of(v) != node) ++counts[static_cast<std::size_t>(v)];
+        }
+      }
+    }
+    std::vector<NodeId> by_degree, by_count;
+    for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
+      if (part.part_of(v) != node) by_degree.push_back(v);
+    }
+    const auto degree_order = [&](NodeId a, NodeId b) {
+      const auto da = ds.graph.degree(a), db = ds.graph.degree(b);
+      return da != db ? da > db : a < b;
+    };
+    by_count = by_degree;
+    std::sort(by_degree.begin(), by_degree.end(), degree_order);
+    std::sort(by_count.begin(), by_count.end(), [&](NodeId a, NodeId b) {
+      const auto ca = counts[static_cast<std::size_t>(a)];
+      const auto cb = counts[static_cast<std::size_t>(b)];
+      return ca != cb ? ca > cb : degree_order(a, b);
+    });
+    by_degree.resize(static_cast<std::size_t>(capacity));
+    by_count.resize(static_cast<std::size_t>(capacity));
+
+    EXPECT_EQ(slot_order(FeatureCache(ds, capacity, cfg)), by_count)
+        << "node " << node;
+    CachePolicyConfig automatic = cfg;
+    automatic.kind = CachePolicyKind::kAuto;
+    const FeatureCache auto_cache(ds, capacity, automatic);
+    EXPECT_STREQ(auto_cache.policy_name(), "presample");
+    EXPECT_EQ(slot_order(auto_cache), by_count) << "node " << node;
+    CachePolicyConfig degree = cfg;
+    degree.kind = CachePolicyKind::kDegree;
+    EXPECT_EQ(slot_order(FeatureCache(ds, capacity, degree)), by_degree)
+        << "node " << node;
+
+    // Capacity 0 places nothing, so the warmup does not run.
+    const std::int64_t batches = presample_batches.value();
+    EXPECT_TRUE(FeatureCache(ds, 0, cfg).resident_nodes().empty());
+    EXPECT_EQ(presample_batches.value(), batches);
+  }
 }
 
 // --- auto --------------------------------------------------------------------

@@ -376,6 +376,24 @@ TEST(ChaosPresample, AbortedWarmupDegradesToDegreeDeterministically) {
   EXPECT_GE(obs::Registry::global().counter("prep.presample.aborts").value(),
             1);
 
+  // A cluster node's remote cache runs the same warmup over its chunk of
+  // the cluster schedule: an immediate abort pins exactly the remote-degree
+  // order, slot for slot. Node 0 owns the hubs the greedy partition places
+  // first, so its remote order differs from the global degree order.
+  dist::ClusterPartitionConfig pcfg;
+  pcfg.num_nodes = 2;
+  const auto cp = dist::build_cluster_partition(ds.graph, pcfg);
+  const dist::RemoteFeatureCache remote_interrupted(ds, cp, 0, 0.1, cfg);
+  const dist::RemoteFeatureCache remote_degree(ds, cp, 0, 0.1, deg);
+  const auto remote = remote_degree.cache().resident_nodes();
+  EXPECT_EQ(remote_interrupted.cache().resident_nodes(), remote);
+  EXPECT_GT(remote.size(), 0u);
+  for (const NodeId v : remote) {
+    EXPECT_NE(cp.owner_of(v), 0);
+    EXPECT_EQ(remote_interrupted.cache().slot_of(v),
+              remote_degree.cache().slot_of(v));
+  }
+
   // Mid-warmup abort: re-arming the same spec replays the same partial
   // counting, so the pinned set is identical run to run — and differs from
   // the plain degree fallback (some frequency signal survived).

@@ -37,7 +37,6 @@ using dist::ClusterTrainer;
 using dist::Interconnect;
 using dist::InterconnectConfig;
 using dist::PartitionStrategy;
-using dist::RemoteCacheConfig;
 using dist::RemoteFeatureCache;
 
 Dataset& cluster_dataset() {
@@ -368,13 +367,12 @@ TEST(RemoteCache, PlanPartitionsRowsAndMatchesOwnerGrouping) {
   pcfg.num_nodes = 2;
   const auto cp = build_cluster_partition(ds.graph, pcfg);
 
-  RemoteCacheConfig cfg;
-  cfg.policy = CachePolicyKind::kDegree;
-  cfg.cache_percentage = 0.05;
+  CachePolicyConfig cfg;
+  cfg.kind = CachePolicyKind::kDegree;
   cfg.fanouts = {6, 4};
-  const RemoteFeatureCache cache(ds, cp, /*node=*/0, cfg);
-  EXPECT_STREQ(cache.policy_name(), "degree");
-  EXPECT_GT(cache.capacity(), 0);
+  const RemoteFeatureCache cache(ds, cp, /*node=*/0, 0.05, cfg);
+  EXPECT_STREQ(cache.cache().policy_name(), "degree");
+  EXPECT_GT(cache.cache().capacity(), 0);
 
   FastSampler sampler(ds.graph, {6, 4});
   const Mfg mfg = sampler.sample({ds.train_idx.data(), 128}, 7);
@@ -442,14 +440,13 @@ TEST(RemoteCache, StaticPoliciesGrowMonotonically) {
        {CachePolicyKind::kDegree, CachePolicyKind::kPresample}) {
     std::vector<NodeId> prev;
     for (const double pct : {0.02, 0.05, 0.1}) {
-      RemoteCacheConfig cfg;
-      cfg.policy = policy;
-      cfg.cache_percentage = pct;
+      CachePolicyConfig cfg;
+      cfg.kind = policy;
       cfg.presample_epochs = 1;
       cfg.fanouts = {6, 4};
       cfg.batch_size = 256;
       cfg.seed = 21;
-      const RemoteFeatureCache cache(ds, cp, 1, cfg);
+      const RemoteFeatureCache cache(ds, cp, 1, pct, cfg);
       auto resident = cache.cache().resident_nodes();
       ASSERT_TRUE(std::includes(resident.begin(), resident.end(),
                                 prev.begin(), prev.end()))
@@ -465,10 +462,10 @@ TEST(RemoteCache, ZeroCapacityIsAlwaysFetchAndLruAdmitsRemotesOnly) {
   pcfg.num_nodes = 2;
   const auto cp = build_cluster_partition(ds.graph, pcfg);
 
-  RemoteCacheConfig none;
-  none.cache_percentage = 0.0;
-  const RemoteFeatureCache uncached(ds, cp, 0, none);
-  EXPECT_EQ(uncached.capacity(), 0);
+  CachePolicyConfig presample;
+  presample.kind = CachePolicyKind::kPresample;
+  const RemoteFeatureCache uncached(ds, cp, 0, 0.0, presample);
+  EXPECT_EQ(uncached.cache().capacity(), 0);
   FastSampler sampler(ds.graph, {6, 4});
   const Mfg mfg = sampler.sample({ds.train_idx.data(), 64}, 3);
   const auto plan = uncached.plan(mfg);
@@ -480,17 +477,35 @@ TEST(RemoteCache, ZeroCapacityIsAlwaysFetchAndLruAdmitsRemotesOnly) {
   }
   EXPECT_EQ(fetched, static_cast<std::int64_t>(by_owner[1].size()));
 
-  RemoteCacheConfig lru;
-  lru.policy = CachePolicyKind::kLru;
-  lru.cache_percentage = 0.05;
-  const RemoteFeatureCache dyn(ds, cp, 0, lru);
-  EXPECT_STREQ(dyn.policy_name(), "lru");
+  CachePolicyConfig lru;
+  lru.kind = CachePolicyKind::kLru;
+  const RemoteFeatureCache dyn(ds, cp, 0, 0.05, lru);
+  EXPECT_STREQ(dyn.cache().policy_name(), "lru");
   (void)dyn.plan(mfg);  // populates via admission
   for (const NodeId v : dyn.cache().resident_nodes()) {
     EXPECT_NE(cp.owner_of(v), 0);
   }
   const auto warm = dyn.plan(mfg);  // same batch again: hits now
   EXPECT_GT(warm.remote_hits, 0);
+}
+
+TEST(RemoteCache, RejectsAnOutOfRangeNodeBeforeTheWarmup) {
+  // The presample warmup samples the node's chunk of every batch; for node
+  // -1 that chunk starts before the batch, so the node must be rejected
+  // before the warmup runs, not after.
+  const Dataset& ds = cluster_dataset();
+  ClusterPartitionConfig pcfg;
+  pcfg.num_nodes = 2;
+  const auto cp = build_cluster_partition(ds.graph, pcfg);
+  CachePolicyConfig cfg;
+  cfg.kind = CachePolicyKind::kPresample;
+  cfg.fanouts = {6, 4};
+  cfg.batch_size = 256;
+  for (const int node : {-1, 2}) {
+    EXPECT_THROW(RemoteFeatureCache(ds, cp, node, 0.05, cfg),
+                 std::invalid_argument)
+        << "node " << node;
+  }
 }
 
 // ---------------------------------------------------------------------------

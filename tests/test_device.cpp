@@ -15,6 +15,7 @@
 #include "device/dma.h"
 #include "device/stream.h"
 #include "graph/dataset.h"
+#include "obs/metrics.h"
 #include "prep/pinned_pool.h"
 #include "prep/slicing.h"
 #include "sampling/fast_sampler.h"
@@ -209,23 +210,31 @@ TEST(DeviceSim, NonBlockingTransferSignalsReadyEvent) {
 }
 
 TEST(DeviceSim, ValidationModeRunsRoundTrips) {
+  // Validation mode adds one blocking round trip per MFG level, each of
+  // which waits out round_trip_us on the engine's clock; without it there
+  // are none. Counted, not raced against a second wall-clock transfer.
   const Dataset& ds = dev_dataset();
   PreparedBatch batch = make_batch(ds);
+  const auto levels = static_cast<std::int64_t>(batch.mfg.levels.size());
+  ASSERT_GT(levels, 0);
   DeviceConfig with, without;
   with.validate_sparse_after_transfer = true;
-  with.dma.round_trip_us = 2000;  // exaggerated for measurability
+  with.dma.round_trip_us = 1000;
   without.validate_sparse_after_transfer = false;
-  without.dma.round_trip_us = 2000;
+  without.dma.round_trip_us = 1000;
+  obs::Counter& round_trips =
+      obs::Registry::global().counter("dma.round_trips");
 
   DeviceSim dev_with(with), dev_without(without);
-  WallTimer t;
+  const std::int64_t before = round_trips.value();
   dev_with.transfer_batch(batch, true, nullptr);
-  const double slow = t.seconds();
-  t.reset();
+  EXPECT_EQ(round_trips.value() - before, levels);
+  EXPECT_GE(dev_with.dma().busy_seconds(),
+            static_cast<double>(levels) * with.dma.round_trip_us * 1e-6);
+
+  const std::int64_t between = round_trips.value();
   dev_without.transfer_batch(batch, true, nullptr);
-  const double fast = t.seconds();
-  // two MFG levels * 2ms round trips must be visible
-  EXPECT_GT(slow, fast + 0.003);
+  EXPECT_EQ(round_trips.value(), between);
 }
 
 TEST(DeviceSim, PipelinedTransfersOverlapWithCompute) {

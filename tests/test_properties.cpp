@@ -441,7 +441,7 @@ TEST(ClusterPlanProperties, WindowPlansPartitionRowsAndNeverDoubleFetch) {
   const int depth = 2;  // in-flight window = depth + 1 batches
   const std::int64_t batch = 128;
   const std::uint64_t seed = 21;
-  const std::uint64_t epoch_seed = seed * 0x10001ull + 1;
+  const std::uint64_t epoch_seed = schedule_epoch_seed(seed, 0);
   std::vector<NodeId> order = ds.train_idx;
   schedule_shuffle(order, epoch_seed);
   const auto total = static_cast<std::int64_t>(order.size());
@@ -456,15 +456,14 @@ TEST(ClusterPlanProperties, WindowPlansPartitionRowsAndNeverDoubleFetch) {
        {PolicyCase{CachePolicyKind::kPresample, 0.0},   // always-fetch
         PolicyCase{CachePolicyKind::kPresample, 0.05},  // static pinning
         PolicyCase{CachePolicyKind::kLru, 0.5}}) {      // dynamic admission
-    dist::RemoteCacheConfig cc;
-    cc.policy = pc.policy;
-    cc.cache_percentage = pc.pct;
+    CachePolicyConfig cc;
+    cc.kind = pc.policy;
     cc.presample_epochs = 1;
     cc.fanouts = {5, 3};
     cc.batch_size = batch;
     cc.seed = seed;
     for (int p = 0; p < world; ++p) {
-      const dist::RemoteFeatureCache cache(ds, cp, p, cc);
+      const dist::RemoteFeatureCache cache(ds, cp, p, pc.pct, cc);
       FastSampler sampler(ds.graph, {5, 3});
       // Fetched vertex sets of the batches currently in flight together.
       std::deque<std::set<NodeId>> window;

@@ -115,6 +115,19 @@ TEST(Trainer, BaselineLoaderAlsoLearns) {
   EXPECT_GT(first.blocking.total(Phase::kTrain), 0.0);
 }
 
+TEST(Trainer, RejectsThePipelinedBaselineLoader) {
+  // Pipelined execution always runs SalientLoader, so this pair would
+  // silently train with SALIENT's loader instead of the baseline.
+  const Dataset& ds = train_dataset();
+  DeviceSim device;
+  TrainConfig tc = train_config();
+  tc.loader_kind = LoaderKind::kBaseline;
+  tc.execution = ExecutionMode::kPipelined;
+  EXPECT_THROW(Trainer(ds, nn::make_model("sage", model_config(ds)), device,
+                       tc),
+               std::invalid_argument);
+}
+
 TEST(Trainer, MultiWorkerPipelinedLearns) {
   const Dataset& ds = train_dataset();
   auto model = nn::make_model("sage", model_config(ds, 41));

@@ -195,7 +195,7 @@ DistResult run_config(const Dataset& ds, int nodes, const std::string& policy,
   r.policy = policy;
   r.cache_pct = cache_pct;
   r.pipeline_depth = depth;
-  r.capacity_rows = nodes > 0 ? trainer.remote_cache(0).capacity() : 0;
+  r.capacity_rows = nodes > 0 ? trainer.remote_cache(0).cache().capacity() : 0;
   for (int e = 0; e < epochs; ++e) {
     // The last epoch is the steady-state one reported: static placements are
     // capacity-identical every epoch, while LRU gets its warmed best case.
