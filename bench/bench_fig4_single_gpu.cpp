@@ -35,7 +35,7 @@ int main() {
     };
     for (const Spec spec : {Spec{"arxiv-sim", 0.2 * scale},
                             Spec{"products-sim", 0.1 * scale}}) {
-      auto run = [&](LoaderKind kind, ExecutionMode mode) {
+      auto run = [&](LoaderKind kind) {
         SystemConfig cfg;
         cfg.dataset = spec.preset;
         cfg.dataset_scale = spec.scale;
@@ -46,15 +46,12 @@ int main() {
         cfg.batch_size = 512;
         cfg.num_workers = 2;
         cfg.loader_kind = kind;
-        cfg.execution = mode;
         System sys(cfg);
         sys.train_epoch();  // warm-up
         return sys.train_epoch().epoch_seconds;
       };
-      const double pyg =
-          run(LoaderKind::kBaseline, ExecutionMode::kBlocking);
-      const double sal =
-          run(LoaderKind::kSalient, ExecutionMode::kPipelined);
+      const double pyg = run(LoaderKind::kBaseline);
+      const double sal = run(LoaderKind::kSalient);
       t.add_row({spec.preset, fmt(pyg, 2) + "s", fmt(sal, 2) + "s",
                  fmt(pyg / sal, 2) + "x"});
     }

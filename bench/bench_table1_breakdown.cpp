@@ -49,7 +49,6 @@ int main() {
       cfg.batch_size = 512;
       cfg.num_workers = 2;
       cfg.loader_kind = LoaderKind::kBaseline;
-      cfg.execution = ExecutionMode::kBlocking;
       System sys(cfg);
       sys.train_epoch();  // warm-up (first-touch, pool population)
       const EpochStats s = sys.train_epoch();

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   const std::string mode = get("mode", "salient");
   if (mode == "baseline") {
     cfg.loader_kind = LoaderKind::kBaseline;
-    cfg.execution = ExecutionMode::kBlocking;
   } else if (mode != "salient") {
     std::cerr << "unknown --mode " << mode << "\n";
     return 1;

@@ -27,10 +27,10 @@ struct SystemConfig {
   int num_workers = 2;
   double lr = 3e-3;
 
-  /// kSalient/kPipelined is the full SALIENT system; kBaseline/kBlocking is
-  /// the performance-engineered PyG baseline of §3.
+  /// kSalient is the full SALIENT system (pipelined transfers); kBaseline
+  /// is the performance-engineered PyG baseline of §3, which the System runs
+  /// at pipeline depth 0 with PyG's post-transfer validation.
   LoaderKind loader_kind = LoaderKind::kSalient;
-  ExecutionMode execution = ExecutionMode::kPipelined;
 
   /// Device feature-cache capacity as a fraction of |V| in [0, 1] (paper §8
   /// future work; SALIENT loader paths only). When > 0, the cache holds

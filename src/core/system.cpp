@@ -54,11 +54,12 @@ void System::build() {
   mc.seed = config_.seed * 31 + 7;
   model_ = nn::make_model(config_.arch, mc);
 
+  // The baseline is Listing 1's blocking workflow (pipeline depth 0) and
+  // keeps PyG's blocking post-transfer assertions; SALIENT pipelines its
+  // transfers and skips them (§4.3).
+  const bool baseline = config_.loader_kind == LoaderKind::kBaseline;
   DeviceConfig dev = config_.device;
-  // The baseline keeps PyG's blocking post-transfer assertions; SALIENT
-  // skips them (§4.3).
-  dev.validate_sparse_after_transfer =
-      config_.execution == ExecutionMode::kBlocking;
+  dev.validate_sparse_after_transfer = baseline;
   device_ = std::make_unique<DeviceSim>(dev);
 
   TrainConfig tc;
@@ -67,7 +68,7 @@ void System::build() {
   tc.loader.num_workers = config_.num_workers;
   tc.loader.seed = config_.seed;
   tc.loader_kind = config_.loader_kind;
-  tc.execution = config_.execution;
+  if (baseline) tc.pipeline_depth = 0;
   tc.lr = config_.lr;
   tc.loader.cache_policy = parse_cache_policy(config_.cache_policy);
   tc.loader.cache_percentage = config_.cache_percentage;

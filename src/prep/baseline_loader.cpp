@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "obs/trace.h"
 #include "prep/slicing.h"
 #include "sampling/baseline_sampler.h"
 #include "sampling/distributed.h"
@@ -45,6 +46,9 @@ void BaselineLoader::worker_loop(int worker_id) {
   const auto workers = static_cast<std::int64_t>(num_workers_);
   // Static round-robin partition of batches across workers.
   for (std::int64_t b = worker_id; b < num_batches_; b += workers) {
+    // As in SalientLoader, the async "batch" span begins with the batch's
+    // preparation and ends when the trainer retires it.
+    SALIENT_TRACE_ASYNC_BEGIN("batch", b);
     const std::int64_t begin = b * config_.batch_size;
     const std::int64_t end = std::min(n, (b + 1) * config_.batch_size);
     const std::span<const NodeId> batch_nodes(

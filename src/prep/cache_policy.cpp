@@ -116,7 +116,7 @@ class PresamplePolicy final : public CachePolicy {
 
     const std::int64_t n = dataset.graph.num_nodes();
     FrequencyTable freq(n);
-    std::vector<NodeId> seeds =
+    const std::vector<NodeId> seeds =
         resolve_seeds(dataset, config_.presample_seeds);
     const std::int64_t batch = std::max<std::int64_t>(1, config_.batch_size);
     const auto total = static_cast<std::int64_t>(seeds.size());
@@ -133,7 +133,10 @@ class PresamplePolicy final : public CachePolicy {
       SALIENT_TRACE_SCOPE("prep.cache.presample.epoch");
       const std::uint64_t epoch_seed =
           schedule_epoch_seed(config_.seed, epoch);
-      schedule_shuffle(seeds, epoch_seed);
+      // A fresh copy of the split each epoch, as training shuffles it, so
+      // warmup epoch e counts the batches of training epoch e.
+      std::vector<NodeId> order = seeds;
+      schedule_shuffle(order, epoch_seed);
 
       auto count_range = [&](std::int64_t begin, std::int64_t end) {
         FastSampler sampler(dataset.graph, config_.fanouts);
@@ -151,7 +154,7 @@ class PresamplePolicy final : public CachePolicy {
               chunk_range(std::min(total, lo + batch) - lo, world, node);
           if (chunk.empty()) continue;
           const Mfg mfg = sampler.sample(
-              {seeds.data() + lo + chunk.begin,
+              {order.data() + lo + chunk.begin,
                static_cast<std::size_t>(chunk.size())},
               schedule_mix_seed(epoch_seed, b * world + node));
           for (const NodeId v : mfg.n_ids) {

@@ -1,9 +1,10 @@
 #include "train/trainer.h"
 
-#include <algorithm>
-#include <atomic>
 #include <deque>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "autograd/functions.h"
 #include "obs/trace.h"
@@ -23,11 +24,14 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
       config_(std::move(config)),
       optimizer_(model_->parameters(), config_.lr),
       pool_(std::make_shared<PinnedPool>()) {
+  if (config_.pipeline_depth < 0) {
+    throw std::invalid_argument("trainer: pipeline_depth must be >= 0");
+  }
   if (config_.loader_kind == LoaderKind::kBaseline &&
-      config_.execution == ExecutionMode::kPipelined) {
-    // The pipelined loop runs SalientLoader; there is no pipelined baseline.
+      config_.pipeline_depth > 0) {
+    // The baseline is Listing 1's workflow, which blocks on every batch.
     throw std::invalid_argument(
-        "trainer: the baseline loader runs only with blocking execution");
+        "trainer: the baseline loader runs only at pipeline depth 0");
   }
   const auto cache_nodes = static_cast<std::int64_t>(
       config_.loader.cache_percentage *
@@ -68,129 +72,171 @@ double train_step(nn::GnnModel& model, optim::Adam& optimizer,
   return static_cast<double>(loss.data().data<float>()[0]);
 }
 
-DeviceBatch Trainer::transfer(const PreparedBatch& batch, bool blocking,
-                              Event* ready) {
-  return batch.cache_plan
-             ? device_.transfer_batch_cached(batch, *batch.cache_plan,
-                                             *cache_, blocking, ready)
-             : device_.transfer_batch(batch, blocking, ready);
+namespace {
+
+/// The stored LazyGCN epoch as a batch source: its batches in a fresh order
+/// each replay epoch (LazyGCN shuffles within the mega-batch), as shallow
+/// copies that need no recycling. Like the loaders, it opens each batch's
+/// async `batch` span.
+class ReplaySource {
+ public:
+  ReplaySource(const std::vector<PreparedBatch>& batches, std::uint64_t seed)
+      : batches_(batches), order_(batches.size()) {
+    std::iota(order_.begin(), order_.end(), NodeId{0});
+    schedule_shuffle(order_, seed);
+  }
+
+  std::optional<PreparedBatch> next() {
+    if (next_ == order_.size()) return std::nullopt;
+    const PreparedBatch& batch =
+        batches_[static_cast<std::size_t>(order_[next_++])];
+    SALIENT_TRACE_ASYNC_BEGIN("batch", batch.index);
+    return batch;
+  }
+
+  void recycle(PreparedBatch&&) {}
+
+ private:
+  const std::vector<PreparedBatch>& batches_;
+  std::vector<NodeId> order_;  // positions into batches_
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
+template <class Source, class Step, class Retire>
+void Trainer::run_window(Source& source, PhaseTimer* phases,
+                         const char* step_label, Step step, Retire retire) {
+  using Result = std::invoke_result_t<Step&, const DeviceBatch&>;
+  struct Inflight {
+    std::shared_ptr<DeviceBatch> dev;
+    PreparedBatch host;  // recycled once its step ran
+    Event done;          // the step's completion on the compute stream
+    std::shared_ptr<Result> result;
+  };
+  std::deque<Inflight> inflight;
+  const auto charge = [phases](Phase phase, const WallTimer& t) {
+    if (phases != nullptr) phases->add(phase, t.seconds());
+  };
+  const auto retire_front = [&] {
+    Inflight f = std::move(inflight.front());
+    inflight.pop_front();
+    WallTimer t;
+    {
+      SALIENT_TRACE_SCOPE_ARG("step.wait", f.host.index);
+      f.done.synchronize();
+    }
+    charge(Phase::kTrain, t);
+    SALIENT_TRACE_ASYNC_END("batch", f.host.index);
+    retire(f.host, *f.result);
+    source.recycle(std::move(f.host));
+    SALIENT_TRACE_COUNTER("pipeline.inflight",
+                          static_cast<std::int64_t>(inflight.size()));
+  };
+
+  SALIENT_TRACE_THREAD_NAME("main");
+  const bool blocking = config_.pipeline_depth == 0;
+  for (;;) {
+    WallTimer t;
+    Inflight item;
+    {
+      SALIENT_TRACE_SCOPE("loader.wait");
+      std::optional<PreparedBatch> batch = source.next();
+      if (!batch.has_value()) break;
+      item.host = std::move(*batch);
+    }
+    // A replay samples nothing, so waiting on it is not sample time.
+    if constexpr (!std::is_same_v<Source, ReplaySource>) {
+      charge(Phase::kSample, t);
+    }
+
+    // Issue the H2D transfer on the copy stream (only depth 0 waits for it:
+    // Listing 1's `.to(device)`) and chain the step behind it.
+    t.reset();
+    {
+      SALIENT_TRACE_SCOPE_ARG("transfer.issue", item.host.index);
+      const PreparedBatch& b = item.host;
+      item.dev = std::make_shared<DeviceBatch>(
+          b.cache_plan ? device_.transfer_batch_cached(b, *b.cache_plan,
+                                                       *cache_, blocking,
+                                                       nullptr)
+                       : device_.transfer_batch(b, blocking, nullptr));
+      item.result = std::make_shared<Result>();
+      device_.compute_stream().enqueue(
+          [dev = item.dev, result = item.result, step] {
+            *result = step(*dev);
+          },
+          step_label);
+      item.done = device_.compute_stream().record();
+    }
+    charge(Phase::kTransfer, t);
+    inflight.push_back(std::move(item));
+    SALIENT_TRACE_COUNTER("pipeline.inflight",
+                          static_cast<std::int64_t>(inflight.size()));
+    while (static_cast<int>(inflight.size()) > config_.pipeline_depth) {
+      retire_front();
+    }
+  }
+  while (!inflight.empty()) retire_front();
 }
 
 EpochStats Trainer::train_epoch(int epoch) {
-  LoaderConfig epoch_cfg = config_.loader;
-  epoch_cfg.seed = schedule_epoch_seed(config_.loader.seed, epoch);
+  EpochStats stats;
+  stats.epoch = epoch;
+  WallTimer epoch_timer;
   model_->train(true);
-
-  if (config_.execution == ExecutionMode::kPipelined) {
-    if (config_.sampling_period > 1 &&
-        epoch % config_.sampling_period != 0 && !replay_batches_.empty()) {
-      return run_replay(epoch);  // LazyGCN: reuse the stored mega-batch
-    }
-    if (config_.sampling_period > 1) replay_batches_.clear();
-    return run_pipelined(epoch, epoch_cfg);
-  }
-  if (config_.loader_kind == LoaderKind::kBaseline) {
-    BaselineLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_);
-    return run_blocking(loader, epoch);
-  }
-  SalientLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_,
-                       cache_);
-  return run_blocking(loader, epoch);
-}
-
-template <class Loader>
-EpochStats Trainer::run_blocking(Loader& loader, int epoch) {
-  EpochStats stats;
-  stats.epoch = epoch;
-  WallTimer epoch_timer;
-  SALIENT_TRACE_THREAD_NAME("main");
   double loss_sum = 0, acc_sum = 0;
 
-  for (;;) {
-    // 1. Batch preparation (blocking on the loader).
-    WallTimer t;
-    std::optional<PreparedBatch> maybe_batch;
-    {
-      SALIENT_TRACE_SCOPE("loader.next");
-      maybe_batch = loader.next();
-    }
-    if (!maybe_batch.has_value()) break;
-    stats.blocking.add(Phase::kSample, t.seconds());
-    PreparedBatch batch = std::move(*maybe_batch);
-    stats.transfer_bytes += batch.transfer_bytes();
+  // LazyGCN: a sampling epoch stores its batches, and the epochs up to the
+  // next sampling epoch replay them.
+  const bool lazy = config_.sampling_period > 1;
+  const bool replay = lazy && epoch % config_.sampling_period != 0 &&
+                      !replay_batches_.empty();
+  const bool store = lazy && !replay;
+  if (store) replay_batches_.clear();
 
-    // 2. Blocking transfer (Listing 1's `batch.to(GPU)`).
-    t.reset();
-    SALIENT_TRACE_ASYNC_BEGIN("device-batch", batch.index);
-    DeviceBatch dev;
-    {
-      SALIENT_TRACE_SCOPE_ARG("transfer.blocking", batch.index);
-      dev = transfer(batch, /*blocking=*/true, /*ready=*/nullptr);
-    }
-    stats.blocking.add(Phase::kTransfer, t.seconds());
-    loader.recycle(std::move(batch));
-
-    // 3. Training step on the compute stream, synchronized.
-    t.reset();
-    double acc = 0, loss = 0;
-    device_.compute_stream().enqueue([this, &dev, &acc, &loss] {
-      loss = train_step(*model_, optimizer_, dev.x_f32, dev.mfg, dev.y, &acc);
-    }, "train.step");
-    {
-      SALIENT_TRACE_SCOPE_ARG("train.wait", dev.index);
-      device_.compute_stream().synchronize();
-    }
-    SALIENT_TRACE_ASYNC_END("device-batch", dev.index);
-    stats.blocking.add(Phase::kTrain, t.seconds());
-
-    loss_sum += loss;
-    acc_sum += acc;
-    ++stats.num_batches;
-  }
-  stats.epoch_seconds = epoch_timer.seconds();
-  if (stats.num_batches > 0) {
-    stats.mean_loss = loss_sum / static_cast<double>(stats.num_batches);
-    stats.train_accuracy = acc_sum / static_cast<double>(stats.num_batches);
-  }
-  return stats;
-}
-
-EpochStats Trainer::run_replay(int epoch) {
-  EpochStats stats;
-  stats.epoch = epoch;
-  WallTimer epoch_timer;
-  double loss_sum = 0, acc_sum = 0;
-
-  // Reshuffle the stored batches so replay epochs still decorrelate the
-  // optimizer's update order (LazyGCN shuffles within the mega-batch).
-  std::vector<std::size_t> order(replay_batches_.size());
-  std::iota(order.begin(), order.end(), 0);
-  Xoshiro256ss rng(config_.loader.seed * 131 +
-                   static_cast<std::uint64_t>(epoch));
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[bounded_rand(rng, i)]);
-  }
-
-  for (const std::size_t idx : order) {
-    const PreparedBatch& batch = replay_batches_[idx];
-    stats.transfer_bytes += batch.transfer_bytes();
-    WallTimer t;
-    DeviceBatch dev = transfer(batch, /*blocking=*/true, /*ready=*/nullptr);
-    stats.blocking.add(Phase::kTransfer, t.seconds());
-    t.reset();
-    double acc = 0, loss = 0;
-    device_.compute_stream().enqueue(
-        [this, &dev, &acc, &loss] {
-          loss = train_step(*model_, optimizer_, dev.x_f32, dev.mfg, dev.y,
-                            &acc);
+  auto run = [&](auto& source) {
+    run_window(
+        source, &stats.blocking, "train.step",
+        [this](const DeviceBatch& dev) {
+          double acc = 0;
+          const double loss = train_step(*model_, optimizer_, dev.x_f32,
+                                         dev.mfg, dev.y, &acc);
+          return std::pair{loss, acc};
         },
-        "train.step");
-    device_.compute_stream().synchronize();
-    stats.blocking.add(Phase::kTrain, t.seconds());
-    loss_sum += loss;
-    acc_sum += acc;
-    ++stats.num_batches;
+        [&](const PreparedBatch& host, const auto& result) {
+          if (store) {
+            // An unpinned deep copy, so the pinned staging buffers still
+            // return to the pool. Every field is kept: an i8q batch without
+            // its scale/zero sidecars cannot be dequantized.
+            PreparedBatch& copy = replay_batches_.emplace_back(host);
+            for (Tensor* t : {&copy.x, &copy.y, &copy.x_scale, &copy.x_zero}) {
+              if (t->defined()) *t = t->clone();
+            }
+          }
+          stats.transfer_bytes += host.transfer_bytes();
+          loss_sum += result.first;
+          acc_sum += result.second;
+          ++stats.num_batches;
+        });
+  };
+  if (replay) {
+    ReplaySource source(replay_batches_, config_.loader.seed * 131 +
+                                             static_cast<std::uint64_t>(epoch));
+    run(source);
+  } else {
+    LoaderConfig epoch_cfg = config_.loader;
+    epoch_cfg.seed = schedule_epoch_seed(config_.loader.seed, epoch);
+    if (config_.loader_kind == LoaderKind::kBaseline) {
+      BaselineLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_);
+      run(loader);
+    } else {
+      SalientLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_,
+                           cache_);
+      run(loader);
+    }
   }
+
   stats.epoch_seconds = epoch_timer.seconds();
   if (stats.num_batches > 0) {
     stats.mean_loss = loss_sum / static_cast<double>(stats.num_batches);
@@ -204,7 +250,6 @@ Trainer::InferenceEpoch Trainer::inference_epoch(
     std::uint64_t seed) {
   InferenceEpoch result;
   WallTimer timer;
-  SALIENT_TRACE_THREAD_NAME("main");
   model_->train(false);
 
   LoaderConfig cfg = config_.loader;
@@ -213,162 +258,29 @@ Trainer::InferenceEpoch Trainer::inference_epoch(
   cfg.shuffle = false;  // inference order is the caller's node order
   SalientLoader loader(dataset_, nodes, cfg, pool_, cache_);
 
-  struct Inflight {
-    std::shared_ptr<DeviceBatch> dev;
-    PreparedBatch host;
-    Event done;
-    std::shared_ptr<std::pair<std::int64_t, std::int64_t>> hits;  // hit, n
-  };
-  std::deque<Inflight> inflight;
   std::int64_t hits = 0, total = 0;
-
-  auto retire_front = [&] {
-    Inflight f = std::move(inflight.front());
-    inflight.pop_front();
-    {
-      SALIENT_TRACE_SCOPE_ARG("infer.wait", f.dev->index);
-      f.done.synchronize();
-    }
-    SALIENT_TRACE_ASYNC_END("batch", f.dev->index);
-    loader.recycle(std::move(f.host));
-    hits += f.hits->first;
-    total += f.hits->second;
-    ++result.num_batches;
-  };
-
-  while (auto maybe_batch = loader.next()) {
-    PreparedBatch batch = std::move(*maybe_batch);
-    result.transfer_bytes += batch.transfer_bytes();
-    Inflight item;
-    Event ready;
-    item.dev = std::make_shared<DeviceBatch>(
-        transfer(batch, /*blocking=*/false, &ready));
-    item.host = std::move(batch);
-    item.hits = std::make_shared<std::pair<std::int64_t, std::int64_t>>(0, 0);
-    auto dev = item.dev;
-    auto hit_slot = item.hits;
-    auto model = model_;
-    device_.compute_stream().enqueue([dev, hit_slot, model] {
-      Variable logp = model->forward(Variable(dev->x_f32), dev->mfg);
-      Tensor pred = ops::argmax_rows(logp.data());
-      const std::int64_t* pp = pred.data<std::int64_t>();
-      const std::int64_t* py = dev->y.data<std::int64_t>();
-      std::int64_t h = 0;
-      for (std::int64_t i = 0; i < pred.size(0); ++i) h += (pp[i] == py[i]);
-      hit_slot->first = h;
-      hit_slot->second = pred.size(0);
-    }, "infer.forward");
-    item.done = device_.compute_stream().record();
-    inflight.push_back(std::move(item));
-    while (static_cast<int>(inflight.size()) > config_.pipeline_depth) {
-      retire_front();
-    }
-  }
-  while (!inflight.empty()) retire_front();
+  run_window(
+      loader, /*phases=*/nullptr, "infer.forward",
+      [model = model_](const DeviceBatch& dev) {
+        Variable logp = model->forward(Variable(dev.x_f32), dev.mfg);
+        Tensor pred = ops::argmax_rows(logp.data());
+        const std::int64_t* pp = pred.data<std::int64_t>();
+        const std::int64_t* py = dev.y.data<std::int64_t>();
+        std::int64_t h = 0;
+        for (std::int64_t i = 0; i < pred.size(0); ++i) h += (pp[i] == py[i]);
+        return std::pair{h, pred.size(0)};
+      },
+      [&](const PreparedBatch& host, const auto& hit_count) {
+        result.transfer_bytes += host.transfer_bytes();
+        hits += hit_count.first;
+        total += hit_count.second;
+        ++result.num_batches;
+      });
 
   result.seconds = timer.seconds();
   result.accuracy =
       total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0;
   return result;
-}
-
-EpochStats Trainer::run_pipelined(int epoch, const LoaderConfig& epoch_cfg) {
-  EpochStats stats;
-  stats.epoch = epoch;
-  WallTimer epoch_timer;
-  SALIENT_TRACE_THREAD_NAME("main");
-
-  SalientLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_,
-                       cache_);
-
-  struct Inflight {
-    std::shared_ptr<DeviceBatch> dev;
-    PreparedBatch host;    // recycled once copies completed
-    Event copies_done;     // copy-stream completion for this batch
-    Event train_done;      // compute-stream completion for this batch
-    std::shared_ptr<std::pair<double, double>> result;  // loss, acc
-  };
-  std::deque<Inflight> inflight;
-  double loss_sum = 0, acc_sum = 0;
-
-  auto retire_front = [&] {
-    Inflight f = std::move(inflight.front());
-    inflight.pop_front();
-    WallTimer t;
-    {
-      SALIENT_TRACE_SCOPE_ARG("train.wait", f.dev->index);
-      f.train_done.synchronize();
-    }
-    SALIENT_TRACE_ASYNC_END("batch", f.dev->index);
-    stats.blocking.add(Phase::kTrain, t.seconds());
-    if (config_.sampling_period > 1) {
-      // LazyGCN schedule: keep an unpinned deep copy for replay epochs
-      // (the pinned staging buffers still return to the pool).
-      // Every field is kept: an i8q batch without its scale/zero sidecars
-      // cannot be dequantized.
-      PreparedBatch copy = f.host;
-      for (Tensor* t : {&copy.x, &copy.y, &copy.x_scale, &copy.x_zero}) {
-        if (t->defined()) *t = t->clone();
-      }
-      replay_batches_.push_back(std::move(copy));
-    }
-    loader.recycle(std::move(f.host));
-    loss_sum += f.result->first;
-    acc_sum += f.result->second;
-    ++stats.num_batches;
-    SALIENT_TRACE_COUNTER("pipeline.inflight",
-                          static_cast<std::int64_t>(inflight.size()));
-  };
-
-  for (;;) {
-    WallTimer t;
-    std::optional<PreparedBatch> maybe_batch;
-    {
-      SALIENT_TRACE_SCOPE("loader.wait");
-      maybe_batch = loader.next();
-    }
-    if (!maybe_batch.has_value()) break;
-    stats.blocking.add(Phase::kSample, t.seconds());
-    PreparedBatch batch = std::move(*maybe_batch);
-    stats.transfer_bytes += batch.transfer_bytes();
-
-    // Enqueue the H2D transfer on the copy stream (returns immediately) and
-    // chain the training step behind the per-batch ready event.
-    t.reset();
-    Inflight item;
-    Event ready;
-    item.dev = std::make_shared<DeviceBatch>(
-        transfer(batch, /*blocking=*/false, &ready));
-    item.copies_done = device_.copy_stream().record();
-    item.host = std::move(batch);
-    item.result = std::make_shared<std::pair<double, double>>(0.0, 0.0);
-    auto dev = item.dev;
-    auto result = item.result;
-    device_.compute_stream().enqueue([this, dev, result] {
-      double acc = 0;
-      result->first = train_step(*model_, optimizer_, dev->x_f32, dev->mfg,
-                                 dev->y, &acc);
-      result->second = acc;
-    }, "train.step");
-    item.train_done = device_.compute_stream().record();
-    stats.blocking.add(Phase::kTransfer, t.seconds());
-    inflight.push_back(std::move(item));
-    SALIENT_TRACE_COUNTER("pipeline.inflight",
-                          static_cast<std::int64_t>(inflight.size()));
-
-    // Throttle the pipeline depth: block on the oldest batch's training.
-    while (static_cast<int>(inflight.size()) > config_.pipeline_depth) {
-      retire_front();
-    }
-  }
-  while (!inflight.empty()) retire_front();
-
-  stats.epoch_seconds = epoch_timer.seconds();
-  if (stats.num_batches > 0) {
-    stats.mean_loss = loss_sum / static_cast<double>(stats.num_batches);
-    stats.train_accuracy = acc_sum / static_cast<double>(stats.num_batches);
-  }
-  return stats;
 }
 
 }  // namespace salient

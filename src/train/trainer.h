@@ -1,18 +1,17 @@
-// End-to-end training loops: the blocking baseline workflow of Listing 1 and
-// SALIENT's pipelined workflow (Figure 1a vs 1b).
+// The end-to-end training loop of Figure 1. Both workflows run one
+// in-flight window: each batch from a source (SalientLoader, BaselineLoader,
+// or the stored LazyGCN epoch) has its transfer issued on the copy stream
+// and its step enqueued behind it on the compute stream, and the oldest
+// batch retires once more than `pipeline_depth` are in flight.
 //
-// Baseline (execution = kBlocking, loader = kBaseline): the main thread
-// serially (1) blocks on the DataLoader-style loader for the next batch
-// (sampling in workers, slicing + pin-copy inline), (2) performs a blocking
-// `.to(device)` transfer, (3) runs the training step and synchronizes. The
-// per-phase blocking times recorded in EpochStats reproduce the measurement
-// methodology of Table 1.
+// Baseline (loader = kBaseline, depth 0, Listing 1): nothing stays in
+// flight, so the main thread blocks on the loader, on the `.to(device)`
+// transfer and on the step in turn; the per-phase blocking times in
+// EpochStats reproduce Table 1's methodology.
 //
-// SALIENT (execution = kPipelined, loader = kSalient): preparation threads
-// run ahead through the lock-free work queue; transfers are enqueued on the
-// copy stream and the compute stream waits on per-batch events, so transfer
-// overlaps training (§4.3); the main thread only throttles the pipeline
-// depth. Pinned staging buffers are recycled once their copies completed.
+// SALIENT (loader = kSalient, depth >= 1): preparation threads run ahead and
+// transfers overlap training (§4.3); the main thread only throttles the
+// depth. Every depth trains bit-identical parameters.
 #pragma once
 
 #include <functional>
@@ -46,20 +45,18 @@ double train_step(nn::GnnModel& model, optim::Adam& optimizer,
                   double* accuracy = nullptr, const GradReduce& reduce = {});
 
 enum class LoaderKind { kBaseline, kSalient };
-enum class ExecutionMode { kBlocking, kPipelined };
 
 struct TrainConfig {
   LoaderConfig loader;
   LoaderKind loader_kind = LoaderKind::kSalient;
-  ExecutionMode execution = ExecutionMode::kPipelined;
   double lr = 3e-3;
-  /// Maximum device batches in flight in pipelined mode.
+  /// Device batches kept in flight behind the one being trained. 0 blocks
+  /// on every transfer and step (the baseline workflow of Listing 1).
   int pipeline_depth = 2;
   /// Lazy sampling schedule (LazyGCN, Ramezani et al. 2020; paper §2.2):
   /// sample fresh mini-batches every `sampling_period` epochs and replay the
   /// stored batches (reshuffled) in between, trading sampling freshness for
   /// batch-preparation cost. 1 = resample every epoch (the paper's setting).
-  /// Pipelined execution only.
   int sampling_period = 1;
 };
 
@@ -67,8 +64,8 @@ class Trainer {
  public:
   /// The trainer borrows dataset/device and shares the model; all must
   /// outlive it. The Adam optimizer is created over the model parameters.
-  /// \throws std::invalid_argument for the baseline loader with pipelined
-  /// execution (the pipelined loop always runs SalientLoader).
+  /// \throws std::invalid_argument for a negative pipeline depth, or the
+  /// baseline loader above depth 0.
   Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
           DeviceSim& device, TrainConfig config);
 
@@ -100,14 +97,13 @@ class Trainer {
   }
 
  private:
-  template <class Loader>
-  EpochStats run_blocking(Loader& loader, int epoch);
-  EpochStats run_pipelined(int epoch, const LoaderConfig& epoch_cfg);
-  /// Replay the lazily cached epoch (no sampling/slicing; LazyGCN schedule).
-  EpochStats run_replay(int epoch);
-  /// Enqueue `batch`'s transfer, cache-assembled when it carries a plan.
-  DeviceBatch transfer(const PreparedBatch& batch, bool blocking,
-                       Event* ready);
+  /// The in-flight window of every epoch (see the file comment): `step`
+  /// runs on the compute stream under `step_label`, and `retire` receives
+  /// each host batch with its step's result, in batch order. Blocking time
+  /// is charged to `phases` when non-null.
+  template <class Source, class Step, class Retire>
+  void run_window(Source& source, PhaseTimer* phases, const char* step_label,
+                  Step step, Retire retire);
 
   const Dataset& dataset_;
   std::shared_ptr<nn::GnnModel> model_;

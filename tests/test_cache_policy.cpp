@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "device/device_sim.h"
@@ -396,45 +397,59 @@ std::vector<NodeId> slot_order(const FeatureCache& cache) {
 
 TEST(PartitionedPolicies, RankOnlyRemoteVerticesOverTheNodesSchedule) {
   // Reference: node p's warmup counts the vertices it does not own in its
-  // chunk of every batch, seeded as ClusterTrainer seeds that chunk; degree
-  // ranks the same candidates by degree alone. Both break ties by degree,
-  // then id.
+  // chunk of every batch, seeded as ClusterTrainer seeds that chunk, over a
+  // fresh shuffle of the split each epoch; degree ranks the same candidates
+  // by degree alone. Both break ties by degree, then id. A single-node
+  // cache is node 0 of a 1-node cluster that owns no vertex.
   const Dataset& ds = policy_dataset();
   const int world = 3;
   const GraphPartition part = partition_random(ds.graph, world, 11);
   const std::int64_t capacity = 200;
   auto& presample_batches =
       obs::Registry::global().counter("prep.presample.batches");
-  for (int node = 0; node < world; ++node) {
+  struct Input {
+    const GraphPartition* partition;
+    int node;
+  };
+  std::vector<Input> inputs{{nullptr, 0}};
+  for (int node = 0; node < world; ++node) inputs.push_back({&part, node});
+  for (const Input in : inputs) {
+    SCOPED_TRACE(in.partition ? "node " + std::to_string(in.node)
+                              : std::string("single node"));
+    const int nodes = in.partition ? world : 1;
+    const auto candidate = [&](NodeId v) {
+      return in.partition == nullptr || part.part_of(v) != in.node;
+    };
     CachePolicyConfig cfg = policy_config(CachePolicyKind::kPresample);
-    cfg.partition = &part;
-    cfg.node = node;
-    cfg.presample_workers = node;  // serial and pooled warmups agree
+    cfg.partition = in.partition;
+    cfg.node = in.node;
+    cfg.presample_workers = in.node;  // serial and pooled warmups agree
+    ASSERT_GE(cfg.presample_epochs, 2);  // epoch 1 must not reuse epoch 0's
 
     std::vector<std::int64_t> counts(
         static_cast<std::size_t>(ds.graph.num_nodes()), 0);
-    std::vector<NodeId> seeds = ds.train_idx;
-    const auto total = static_cast<std::int64_t>(seeds.size());
+    const auto total = static_cast<std::int64_t>(ds.train_idx.size());
     FastSampler sampler(ds.graph, cfg.fanouts);
     for (int epoch = 0; epoch < cfg.presample_epochs; ++epoch) {
       const std::uint64_t epoch_seed = schedule_epoch_seed(cfg.seed, epoch);
+      std::vector<NodeId> seeds = ds.train_idx;
       schedule_shuffle(seeds, epoch_seed);
       for (std::int64_t b = 0; b * cfg.batch_size < total; ++b) {
         const std::int64_t lo = b * cfg.batch_size;
         const ChunkRange c = chunk_range(
-            std::min(total, lo + cfg.batch_size) - lo, world, node);
+            std::min(total, lo + cfg.batch_size) - lo, nodes, in.node);
         if (c.empty()) continue;
         const Mfg mfg = sampler.sample(
             {seeds.data() + lo + c.begin, static_cast<std::size_t>(c.size())},
-            schedule_mix_seed(epoch_seed, b * world + node));
+            schedule_mix_seed(epoch_seed, b * nodes + in.node));
         for (const NodeId v : mfg.n_ids) {
-          if (part.part_of(v) != node) ++counts[static_cast<std::size_t>(v)];
+          if (candidate(v)) ++counts[static_cast<std::size_t>(v)];
         }
       }
     }
     std::vector<NodeId> by_degree, by_count;
     for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
-      if (part.part_of(v) != node) by_degree.push_back(v);
+      if (candidate(v)) by_degree.push_back(v);
     }
     const auto degree_order = [&](NodeId a, NodeId b) {
       const auto da = ds.graph.degree(a), db = ds.graph.degree(b);
@@ -450,17 +465,17 @@ TEST(PartitionedPolicies, RankOnlyRemoteVerticesOverTheNodesSchedule) {
     by_degree.resize(static_cast<std::size_t>(capacity));
     by_count.resize(static_cast<std::size_t>(capacity));
 
-    EXPECT_EQ(slot_order(FeatureCache(ds, capacity, cfg)), by_count)
-        << "node " << node;
-    CachePolicyConfig automatic = cfg;
-    automatic.kind = CachePolicyKind::kAuto;
-    const FeatureCache auto_cache(ds, capacity, automatic);
-    EXPECT_STREQ(auto_cache.policy_name(), "presample");
-    EXPECT_EQ(slot_order(auto_cache), by_count) << "node " << node;
+    EXPECT_EQ(slot_order(FeatureCache(ds, capacity, cfg)), by_count);
+    if (in.partition != nullptr) {  // single-node auto runs trial caches
+      CachePolicyConfig automatic = cfg;
+      automatic.kind = CachePolicyKind::kAuto;
+      const FeatureCache auto_cache(ds, capacity, automatic);
+      EXPECT_STREQ(auto_cache.policy_name(), "presample");
+      EXPECT_EQ(slot_order(auto_cache), by_count);
+    }
     CachePolicyConfig degree = cfg;
     degree.kind = CachePolicyKind::kDegree;
-    EXPECT_EQ(slot_order(FeatureCache(ds, capacity, degree)), by_degree)
-        << "node " << node;
+    EXPECT_EQ(slot_order(FeatureCache(ds, capacity, degree)), by_degree);
 
     // Capacity 0 places nothing, so the warmup does not run.
     const std::int64_t batches = presample_batches.value();

@@ -24,16 +24,18 @@ SystemConfig small_cfg() {
 
 TEST(SystemConfig, BaselineModeEnablesTransferValidation) {
   // The PyG baseline keeps the blocking sparse-tensor assertions (4.3);
-  // SALIENT skips them. The System wires this from the execution mode.
+  // SALIENT skips them. The System derives this, and the baseline's
+  // blocking pipeline depth 0, from the loader kind.
   SystemConfig cfg = small_cfg();
-  cfg.execution = ExecutionMode::kBlocking;
   cfg.loader_kind = LoaderKind::kBaseline;
   System baseline(cfg);
   EXPECT_TRUE(baseline.device().config().validate_sparse_after_transfer);
+  EXPECT_EQ(baseline.trainer().config().pipeline_depth, 0);
 
   cfg = small_cfg();
   System pipelined(cfg);
   EXPECT_FALSE(pipelined.device().config().validate_sparse_after_transfer);
+  EXPECT_GT(pipelined.trainer().config().pipeline_depth, 0);
 }
 
 TEST(SystemConfig, FeatureCachePropagatesToTrainer) {

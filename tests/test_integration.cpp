@@ -49,7 +49,6 @@ TEST(System, SalientPipelineTrainsAboveChance) {
 TEST(System, BaselineConfigurationAlsoTrains) {
   SystemConfig cfg = tiny_config();
   cfg.loader_kind = LoaderKind::kBaseline;
-  cfg.execution = ExecutionMode::kBlocking;
   System sys(cfg);
   auto stats = sys.train(4);
   EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss);

@@ -1,13 +1,15 @@
-// Training-loop tests: the pipelined SALIENT execution produces EXACTLY the
-// same parameters as the blocking execution (same seeds), loss decreases,
-// learned accuracy beats chance, and both inference paths (sampled /
-// layer-wise full-neighborhood) work and agree closely.
+// Training-loop tests: every pipeline depth (0 = blocking) produces EXACTLY
+// the same parameters (same seeds), loss decreases, learned accuracy beats
+// chance, and both inference paths (sampled / layer-wise
+// full-neighborhood) work and agree closely.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "graph/dataset.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "nn/models.h"
 #include "train/inference.h"
 #include "train/trainer.h"
@@ -53,31 +55,110 @@ TrainConfig train_config() {
 }
 
 TEST(Trainer, PipelinedMatchesBlockingExactly) {
-  // The pipelined execution must be a pure performance transformation: with
-  // one worker and identical seeds, final parameters are bit-identical to
-  // the blocking execution.
+  // Pipelining is a pure performance transformation: with one worker and
+  // identical seeds, every pipeline depth (0 = blocking) trains the same
+  // losses and bit-identical parameters, and infers the same accuracy over
+  // the same batches and bytes — uncached f16 and cached i8q, fresh epochs
+  // and the LazyGCN replay schedule alike.
   const Dataset& ds = train_dataset();
+  struct Wire {
+    DType dtype;
+    double cache_percentage;
+  };
+  struct Run {
+    std::vector<double> losses;
+    std::vector<std::size_t> bytes;
+    std::shared_ptr<nn::GnnModel> model;
+    Trainer::InferenceEpoch infer;
+  };
+  auto run = [&](int depth, Wire wire, int period) {
+    Run r;
+    r.model = nn::make_model("sage", model_config(ds));
+    DeviceSim device;
+    TrainConfig tc = train_config();
+    tc.pipeline_depth = depth;
+    tc.loader.feature_dtype = wire.dtype;
+    tc.loader.cache_percentage = wire.cache_percentage;
+    tc.sampling_period = period;
+    Trainer trainer(ds, r.model, device, tc);
+    for (int e = 0; e < 4; ++e) {  // period 3: fresh, replay, replay, fresh
+      const EpochStats s = trainer.train_epoch(e);
+      r.losses.push_back(s.mean_loss);
+      r.bytes.push_back(s.transfer_bytes);
+    }
+    const std::vector<std::int64_t> fanouts{10, 10};
+    r.infer = trainer.inference_epoch(ds.test_idx, fanouts, 3);
+    return r;
+  };
+  for (const Wire wire : {Wire{DType::kF16, 0.0}, Wire{DType::kInt8Q, 0.1}}) {
+    for (const int period : {1, 3}) {
+      SCOPED_TRACE(std::string(dtype_name(wire.dtype)) + " period " +
+                   std::to_string(period));
+      const Run ref = run(0, wire, period);
+      for (const int depth : {1, 2, 4}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        const Run r = run(depth, wire, period);
+        EXPECT_EQ(r.losses, ref.losses);
+        EXPECT_EQ(r.bytes, ref.bytes);
+        const auto pa = ref.model->parameters();
+        const auto pb = r.model->parameters();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+          EXPECT_TRUE(allclose(pa[i].data(), pb[i].data(), 0.0, 0.0))
+              << "parameter " << i << " diverged";
+        }
+        EXPECT_EQ(r.infer.accuracy, ref.infer.accuracy);
+        EXPECT_EQ(r.infer.num_batches, ref.infer.num_batches);
+        EXPECT_EQ(r.infer.transfer_bytes, ref.infer.transfer_bytes);
+      }
+    }
+  }
+}
 
-  auto run = [&](ExecutionMode mode) {
+TEST(Trainer, EveryBatchSpanOpensOnceAndClosesAtRetire) {
+  // Each source opens one async `batch` span per batch it yields and the
+  // trainer closes it when it retires the batch: at depth 0 and 2, from
+  // either loader, and on a LazyGCN replay epoch.
+  if constexpr (!obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "tracing compiled out (SALIENT_TRACING=OFF)";
+  }
+  const Dataset& ds = train_dataset();
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  struct Case {
+    int depth;
+    LoaderKind loader;
+    bool replay;
+  };
+  for (const Case c : {Case{0, LoaderKind::kSalient, false},
+                       Case{2, LoaderKind::kSalient, false},
+                       Case{0, LoaderKind::kBaseline, false},
+                       Case{0, LoaderKind::kSalient, true},
+                       Case{2, LoaderKind::kSalient, true}}) {
+    SCOPED_TRACE("depth " + std::to_string(c.depth) +
+                 (c.loader == LoaderKind::kBaseline ? " baseline" : "") +
+                 (c.replay ? " replay" : ""));
     auto model = nn::make_model("sage", model_config(ds));
     DeviceSim device;
     TrainConfig tc = train_config();
-    tc.execution = mode;
-    tc.loader_kind = LoaderKind::kSalient;
+    tc.pipeline_depth = c.depth;
+    tc.loader_kind = c.loader;
+    tc.sampling_period = c.replay ? 2 : 1;
     Trainer trainer(ds, model, device, tc);
-    trainer.train_epoch(0);
-    trainer.train_epoch(1);
-    return model;
-  };
-  auto blocking = run(ExecutionMode::kBlocking);
-  auto pipelined = run(ExecutionMode::kPipelined);
-
-  const auto pa = blocking->parameters();
-  const auto pb = pipelined->parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_TRUE(allclose(pa[i].data(), pb[i].data(), 0.0, 0.0))
-        << "parameter " << i << " diverged";
+    if (c.replay) trainer.train_epoch(0);  // the epoch that epoch 1 replays
+    recorder.reset();
+    recorder.enable(true);
+    const EpochStats s = trainer.train_epoch(c.replay ? 1 : 0);
+    recorder.enable(false);
+    std::int64_t begins = 0, ends = 0;
+    for (const obs::CollectedEvent& ce : recorder.collect()) {
+      if (std::string_view(ce.event.name) != "batch") continue;
+      begins += ce.event.kind == obs::EventKind::kAsyncBegin;
+      ends += ce.event.kind == obs::EventKind::kAsyncEnd;
+    }
+    recorder.reset();
+    EXPECT_GT(s.num_batches, 0);
+    EXPECT_EQ(begins, s.num_batches);
+    EXPECT_EQ(ends, s.num_batches);
   }
 }
 
@@ -102,7 +183,7 @@ TEST(Trainer, BaselineLoaderAlsoLearns) {
   DeviceSim device;
   TrainConfig tc = train_config();
   tc.loader_kind = LoaderKind::kBaseline;
-  tc.execution = ExecutionMode::kBlocking;
+  tc.pipeline_depth = 0;
   tc.loader.num_workers = 2;
   Trainer trainer(ds, model, device, tc);
   EpochStats first = trainer.train_epoch(0);
@@ -115,17 +196,21 @@ TEST(Trainer, BaselineLoaderAlsoLearns) {
   EXPECT_GT(first.blocking.total(Phase::kTrain), 0.0);
 }
 
-TEST(Trainer, RejectsThePipelinedBaselineLoader) {
-  // Pipelined execution always runs SalientLoader, so this pair would
-  // silently train with SALIENT's loader instead of the baseline.
+TEST(Trainer, RejectsBadPipelineDepths) {
+  // A negative depth, and the baseline above depth 0: the baseline is
+  // Listing 1's blocking workflow.
   const Dataset& ds = train_dataset();
   DeviceSim device;
-  TrainConfig tc = train_config();
-  tc.loader_kind = LoaderKind::kBaseline;
-  tc.execution = ExecutionMode::kPipelined;
-  EXPECT_THROW(Trainer(ds, nn::make_model("sage", model_config(ds)), device,
-                       tc),
-               std::invalid_argument);
+  TrainConfig negative = train_config();
+  negative.pipeline_depth = -1;
+  TrainConfig baseline = train_config();
+  baseline.loader_kind = LoaderKind::kBaseline;
+  ASSERT_GT(baseline.pipeline_depth, 0);
+  for (const TrainConfig& tc : {negative, baseline}) {
+    EXPECT_THROW(Trainer(ds, nn::make_model("sage", model_config(ds)),
+                         device, tc),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Trainer, MultiWorkerPipelinedLearns) {
@@ -290,13 +375,20 @@ TEST(Trainer, LazySamplingReplaysEpochsAndStillLearns) {
   // only counts the error and trains on all-zero features (loss ln C).
   const obs::Counter& work_errors =
       obs::Registry::global().counter("stream.work_errors");
-  for (const DType wire : {DType::kF16, DType::kInt8Q}) {
-    SCOPED_TRACE(dtype_name(wire));
+  struct Case {
+    int depth;
+    DType wire;
+  };
+  for (const Case c : {Case{2, DType::kF16}, Case{2, DType::kInt8Q},
+                       Case{0, DType::kF16}, Case{0, DType::kInt8Q}}) {
+    SCOPED_TRACE(std::string(dtype_name(c.wire)) + " depth " +
+                 std::to_string(c.depth));
     const std::int64_t errors_before = work_errors.value();
     auto model = nn::make_model("sage", model_config(ds, 65));
     DeviceSim device;
     TrainConfig tc = train_config();
-    tc.loader.feature_dtype = wire;
+    tc.pipeline_depth = c.depth;
+    tc.loader.feature_dtype = c.wire;
     tc.sampling_period = 3;  // resample on epochs 0 and 3; replay 1,2,4,5
     Trainer trainer(ds, model, device, tc);
     const EpochStats fresh = trainer.train_epoch(0);
