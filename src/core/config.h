@@ -33,7 +33,8 @@ struct SystemConfig {
   LoaderKind loader_kind = LoaderKind::kSalient;
 
   /// Device feature-cache capacity as a fraction of |V| in [0, 1] (paper §8
-  /// future work; SALIENT loader paths only). When > 0, the cache holds
+  /// future work; the SALIENT loader only: the baseline loader with a cache
+  /// throws std::invalid_argument at construction). When > 0, the cache holds
   /// cache_percentage * |V| rows (truncated); which rows is decided by
   /// `cache_policy`. CLI form: --cache-pct=<fraction>.
   double cache_percentage = 0.0;

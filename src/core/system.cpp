@@ -93,8 +93,8 @@ double System::test_accuracy() {
 
 double System::test_accuracy(std::span<const std::int64_t> fanouts) {
   const double acc =
-      evaluate_sampled(*model_, dataset_, dataset_.test_idx, fanouts,
-                       config_.batch_size, config_.seed ^ 0x7e57)
+      trainer_->inference_epoch(dataset_.test_idx, fanouts,
+                                config_.seed ^ 0x7e57)
           .accuracy;
   model_->train(true);
   return acc;
@@ -102,9 +102,8 @@ double System::test_accuracy(std::span<const std::int64_t> fanouts) {
 
 double System::val_accuracy() {
   const double acc =
-      evaluate_sampled(*model_, dataset_, dataset_.val_idx,
-                       config_.infer_fanouts, config_.batch_size,
-                       config_.seed ^ 0x7a1)
+      trainer_->inference_epoch(dataset_.val_idx, config_.infer_fanouts,
+                                config_.seed ^ 0x7a1)
           .accuracy;
   model_->train(true);
   return acc;

@@ -48,7 +48,9 @@ class System {
   std::vector<EpochStats> train(int epochs);
 
   /// Sampled-inference accuracy on the test split using
-  /// config.infer_fanouts (paper §5 mini-batch inference).
+  /// config.infer_fanouts (paper §5 mini-batch inference): the trainer's
+  /// inference_epoch, so it runs the configured loader workers, wire dtype,
+  /// feature cache and pipeline depth.
   double test_accuracy();
   /// Sampled-inference accuracy on the test split with an explicit fanout
   /// per layer, overriding config.infer_fanouts.

@@ -9,7 +9,7 @@ namespace salient::optim {
 
 Adam::Adam(std::vector<Variable> params, double lr, double beta1, double beta2,
            double eps, double weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

@@ -2,23 +2,33 @@
 // loops. Matches torch.optim.Adam defaults, including bias correction.
 #pragma once
 
-#include "optim/optimizer.h"
+#include <vector>
+
+#include "autograd/variable.h"
 
 namespace salient::optim {
 
-class Adam final : public Optimizer {
+class Adam {
  public:
   explicit Adam(std::vector<Variable> params, double lr = 1e-3,
                 double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8,
                 double weight_decay = 0.0);
 
-  void step() override;
+  /// Apply one update using the parameters' accumulated gradients.
+  /// Parameters with no gradient are skipped.
+  void step();
 
+  /// Clear all parameter gradients (Listing 1's optimizer.zero_grad()).
+  void zero_grad() {
+    for (auto& p : params_) p.zero_grad();
+  }
+
+  const std::vector<Variable>& params() const { return params_; }
   double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
   std::int64_t step_count() const { return t_; }
 
  private:
+  std::vector<Variable> params_;
   double lr_;
   double beta1_;
   double beta2_;

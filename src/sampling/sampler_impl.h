@@ -8,7 +8,8 @@
 //   SetPol  — sampling-without-replacement set structure;
 //   Fused   — fuse sampling with MFG construction (relabel inline) vs the
 //             PyG-style two-phase sample-then-relabel;
-//   Reserve — pre-size containers from the fanout bound vs grow organically;
+//   Reserve — pre-size containers from the fanout bound (capped by the
+//             graph) vs grow organically;
 //   Rng     — random generator type.
 //
 // Semantics follow PyG's NeighborSampler.sample_adj chain: the hop-h
@@ -17,6 +18,8 @@
 // prefix of its sources.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -41,10 +44,19 @@ MfgLevel sample_one_hop(const CsrGraph& g, IdMap& map,
   indptr->push_back(0);
 
   if constexpr (Reserve) {
-    const auto expected = static_cast<std::size_t>(num_dst * fanout);
-    indices->reserve(expected);
-    locals.reserve(locals.size() + expected);
-    map.reserve(locals.size() + expected);
+    // Bounded by the graph as well as by the fanout, which comes from the
+    // command line: a hop picks at most |E| edges (num_dst * fanout is only
+    // formed when it cannot exceed |E|, so it cannot overflow), and the
+    // frontier holds at most |V| nodes.
+    const std::int64_t edges = g.num_edges();
+    const std::int64_t picks =
+        fanout <= 0 ? 0 : (num_dst > edges / fanout ? edges : num_dst * fanout);
+    const std::size_t frontier =
+        std::min(static_cast<std::size_t>(g.num_nodes()),
+                 locals.size() + static_cast<std::size_t>(picks));
+    indices->reserve(static_cast<std::size_t>(picks));
+    locals.reserve(frontier);
+    map.reserve(frontier);
   }
 
   thread_local std::vector<NodeId> sampled;

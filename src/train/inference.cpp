@@ -3,63 +3,26 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/trace.h"
 #include "prep/slicing.h"
-#include "sampling/fast_sampler.h"
 #include "tensor/ops.h"
+#include "train/trainer.h"
 
 namespace salient {
-
-namespace {
-
-/// Gather f32 feature rows for `ids` from the (possibly f16) host store.
-Tensor gather_features_f32(const Dataset& dataset,
-                           std::span<const NodeId> ids) {
-  Tensor sliced({static_cast<std::int64_t>(ids.size()), dataset.feature_dim},
-                dataset.features.dtype());
-  slice_rows_serial(dataset.features, ids, sliced);
-  return sliced.to(DType::kF32);
-}
-
-}  // namespace
 
 InferenceResult evaluate_sampled(nn::GnnModel& model, const Dataset& dataset,
                                  std::span<const NodeId> nodes,
                                  std::span<const std::int64_t> fanouts,
                                  std::int64_t batch_size, std::uint64_t seed) {
-  model.train(false);
-  FastSampler sampler(dataset.graph,
-                      std::vector<std::int64_t>(fanouts.begin(), fanouts.end()));
-  InferenceResult result;
-  result.predictions.reserve(nodes.size());
-  std::int64_t hits = 0;
-  const auto n = static_cast<std::int64_t>(nodes.size());
-  const std::int64_t* labels = dataset.labels.data<std::int64_t>();
-  for (std::int64_t begin = 0; begin < n; begin += batch_size) {
-    const std::int64_t end = std::min(n, begin + batch_size);
-    const std::span<const NodeId> batch_nodes(
-        nodes.data() + begin, static_cast<std::size_t>(end - begin));
-    Mfg mfg = sampler.sample(batch_nodes,
-                             seed + static_cast<std::uint64_t>(begin) + 1);
-    Tensor x;
-    {
-      SALIENT_TRACE_SCOPE_ARG("infer.slice", mfg.num_input_nodes());
-      x = gather_features_f32(dataset, mfg.n_ids);
-    }
-    Variable logp;
-    {
-      SALIENT_TRACE_SCOPE_ARG("infer.forward", end - begin);
-      logp = model.forward(Variable(x), mfg);
-    }
-    Tensor pred = ops::argmax_rows(logp.data());
-    const std::int64_t* pp = pred.data<std::int64_t>();
-    for (std::int64_t i = 0; i < end - begin; ++i) {
-      result.predictions.push_back(pp[i]);
-      hits += (pp[i] == labels[batch_nodes[static_cast<std::size_t>(i)]]);
-    }
-  }
-  result.accuracy = n ? static_cast<double>(hits) / static_cast<double>(n) : 0;
-  return result;
+  // The store's dtype on the wire: the rows reach the model unrounded.
+  LoaderConfig loader;
+  loader.batch_size = batch_size;
+  loader.fanouts.assign(fanouts.begin(), fanouts.end());
+  loader.seed = seed;
+  loader.feature_dtype = dataset.features.dtype();
+  DeviceSim device;
+  return sampled_inference(model, dataset, nodes, std::move(loader), device,
+                           /*pool=*/nullptr, /*cache=*/nullptr,
+                           TrainConfig{}.pipeline_depth);
 }
 
 InferenceResult evaluate_layerwise(nn::GnnModel& model, const Dataset& dataset,

@@ -1,6 +1,8 @@
 #include "train/trainer.h"
 
+#include <algorithm>
 #include <deque>
+#include <exception>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -36,6 +38,11 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
   const auto cache_nodes = static_cast<std::int64_t>(
       config_.loader.cache_percentage *
       static_cast<double>(dataset_.graph.num_nodes()));
+  if (cache_nodes > 0 && config_.loader_kind == LoaderKind::kBaseline) {
+    // BaselineLoader never plans against a cache: it would move every row.
+    throw std::invalid_argument(
+        "trainer: the baseline loader runs without a feature cache");
+  }
   if (cache_nodes > 0) {
     // The warmup/probe sampling of the presample and auto policies mirrors
     // the training workload: same fanouts, batch size, and seed family.
@@ -102,11 +109,17 @@ class ReplaySource {
   std::size_t next_ = 0;
 };
 
-}  // namespace
-
+/// The in-flight window of every epoch and of sampled inference (see the
+/// file comment of trainer.h): each batch of `source` is transferred to
+/// `device` (through `cache` when it carries a cache plan) and `step` runs
+/// behind it on the compute stream under `step_label`; more than `depth`
+/// batches in flight retire the oldest, and `retire` receives each host
+/// batch with its step's result, in batch order. Blocking time is charged
+/// to `phases` when non-null.
 template <class Source, class Step, class Retire>
-void Trainer::run_window(Source& source, PhaseTimer* phases,
-                         const char* step_label, Step step, Retire retire) {
+void run_window(DeviceSim& device, const FeatureCache* cache, int depth,
+                Source& source, PhaseTimer* phases, const char* step_label,
+                Step step, Retire retire) {
   using Result = std::invoke_result_t<Step&, const DeviceBatch&>;
   struct Inflight {
     std::shared_ptr<DeviceBatch> dev;
@@ -135,7 +148,7 @@ void Trainer::run_window(Source& source, PhaseTimer* phases,
   };
 
   SALIENT_TRACE_THREAD_NAME("main");
-  const bool blocking = config_.pipeline_depth == 0;
+  const bool blocking = depth == 0;
   for (;;) {
     WallTimer t;
     Inflight item;
@@ -157,28 +170,28 @@ void Trainer::run_window(Source& source, PhaseTimer* phases,
       SALIENT_TRACE_SCOPE_ARG("transfer.issue", item.host.index);
       const PreparedBatch& b = item.host;
       item.dev = std::make_shared<DeviceBatch>(
-          b.cache_plan ? device_.transfer_batch_cached(b, *b.cache_plan,
-                                                       *cache_, blocking,
-                                                       nullptr)
-                       : device_.transfer_batch(b, blocking, nullptr));
+          b.cache_plan ? device.transfer_batch_cached(b, *b.cache_plan,
+                                                      *cache, blocking,
+                                                      nullptr)
+                       : device.transfer_batch(b, blocking, nullptr));
       item.result = std::make_shared<Result>();
-      device_.compute_stream().enqueue(
+      device.compute_stream().enqueue(
           [dev = item.dev, result = item.result, step] {
             *result = step(*dev);
           },
           step_label);
-      item.done = device_.compute_stream().record();
+      item.done = device.compute_stream().record();
     }
     charge(Phase::kTransfer, t);
     inflight.push_back(std::move(item));
     SALIENT_TRACE_COUNTER("pipeline.inflight",
                           static_cast<std::int64_t>(inflight.size()));
-    while (static_cast<int>(inflight.size()) > config_.pipeline_depth) {
-      retire_front();
-    }
+    while (static_cast<int>(inflight.size()) > depth) retire_front();
   }
   while (!inflight.empty()) retire_front();
 }
+
+}  // namespace
 
 EpochStats Trainer::train_epoch(int epoch) {
   EpochStats stats;
@@ -197,7 +210,8 @@ EpochStats Trainer::train_epoch(int epoch) {
 
   auto run = [&](auto& source) {
     run_window(
-        source, &stats.blocking, "train.step",
+        device_, cache_.get(), config_.pipeline_depth, source,
+        &stats.blocking, "train.step",
         [this](const DeviceBatch& dev) {
           double acc = 0;
           const double loss = train_step(*model_, optimizer_, dev.x_f32,
@@ -245,42 +259,70 @@ EpochStats Trainer::train_epoch(int epoch) {
   return stats;
 }
 
-Trainer::InferenceEpoch Trainer::inference_epoch(
-    std::span<const NodeId> nodes, std::span<const std::int64_t> fanouts,
-    std::uint64_t seed) {
-  InferenceEpoch result;
+InferenceResult sampled_inference(nn::GnnModel& model, const Dataset& dataset,
+                                  std::span<const NodeId> nodes,
+                                  LoaderConfig loader, DeviceSim& device,
+                                  std::shared_ptr<PinnedPool> pool,
+                                  std::shared_ptr<const FeatureCache> cache,
+                                  int pipeline_depth) {
   WallTimer timer;
-  model_->train(false);
+  model.train(false);
+  loader.shuffle = false;  // inference order is the caller's node order
+  const std::int64_t batch_size = loader.batch_size;
+  SalientLoader source(dataset, nodes, std::move(loader), std::move(pool),
+                       cache);
 
-  LoaderConfig cfg = config_.loader;
-  cfg.fanouts.assign(fanouts.begin(), fanouts.end());
-  cfg.seed = seed;
-  cfg.shuffle = false;  // inference order is the caller's node order
-  SalientLoader loader(dataset_, nodes, cfg, pool_, cache_);
-
-  std::int64_t hits = 0, total = 0;
+  InferenceResult result;
+  result.predictions.resize(nodes.size());
+  // A forward that throws (say, a model of another depth than the fanouts)
+  // is rethrown once the window has drained.
+  std::exception_ptr error;
   run_window(
-      loader, /*phases=*/nullptr, "infer.forward",
-      [model = model_](const DeviceBatch& dev) {
-        Variable logp = model->forward(Variable(dev.x_f32), dev.mfg);
-        Tensor pred = ops::argmax_rows(logp.data());
-        const std::int64_t* pp = pred.data<std::int64_t>();
-        const std::int64_t* py = dev.y.data<std::int64_t>();
-        std::int64_t h = 0;
-        for (std::int64_t i = 0; i < pred.size(0); ++i) h += (pp[i] == py[i]);
-        return std::pair{h, pred.size(0)};
+      device, cache.get(), pipeline_depth, source, /*phases=*/nullptr,
+      "infer.forward",
+      [&model](const DeviceBatch& dev) {
+        std::pair<Tensor, std::exception_ptr> out;
+        try {
+          out.first = ops::argmax_rows(
+              model.forward(Variable(dev.x_f32), dev.mfg).data());
+        } catch (...) {
+          out.second = std::current_exception();
+        }
+        return out;
       },
-      [&](const PreparedBatch& host, const auto& hit_count) {
+      [&](const PreparedBatch& host,
+          const std::pair<Tensor, std::exception_ptr>& out) {
         result.transfer_bytes += host.transfer_bytes();
-        hits += hit_count.first;
-        total += hit_count.second;
         ++result.num_batches;
+        if (out.second) {
+          if (!error) error = out.second;
+          return;
+        }
+        std::copy_n(out.first.data<std::int64_t>(), out.first.size(0),
+                    result.predictions.begin() + host.index * batch_size);
       });
+  if (error) std::rethrow_exception(error);
 
+  std::int64_t hits = 0;
+  const std::int64_t* labels = dataset.labels.data<std::int64_t>();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    hits += result.predictions[i] == labels[nodes[i]];
+  }
   result.seconds = timer.seconds();
-  result.accuracy =
-      total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0;
+  result.accuracy = nodes.empty() ? 0
+                                  : static_cast<double>(hits) /
+                                        static_cast<double>(nodes.size());
   return result;
+}
+
+InferenceResult Trainer::inference_epoch(std::span<const NodeId> nodes,
+                                         std::span<const std::int64_t> fanouts,
+                                         std::uint64_t seed) {
+  LoaderConfig loader = config_.loader;
+  loader.fanouts.assign(fanouts.begin(), fanouts.end());
+  loader.seed = seed;
+  return sampled_inference(*model_, dataset_, nodes, std::move(loader),
+                           device_, pool_, cache_, config_.pipeline_depth);
 }
 
 }  // namespace salient

@@ -1,8 +1,12 @@
-// The end-to-end training loop of Figure 1. Both workflows run one
-// in-flight window: each batch from a source (SalientLoader, BaselineLoader,
-// or the stored LazyGCN epoch) has its transfer issued on the copy stream
-// and its step enqueued behind it on the compute stream, and the oldest
-// batch retires once more than `pipeline_depth` are in flight.
+// The end-to-end training loop of Figure 1, and sampled inference through
+// the same loop (paper §5). Both workflows, and inference, run one in-flight
+// window: each batch from a source (SalientLoader, BaselineLoader, or the
+// stored LazyGCN epoch) has its transfer issued on the copy stream and its
+// step enqueued behind it on the compute stream, and the oldest batch
+// retires once more than `pipeline_depth` are in flight. Training steps are
+// train_step; inference steps are a forward pass plus argmax
+// (sampled_inference, which Trainer::inference_epoch and evaluate_sampled
+// both run).
 //
 // Baseline (loader = kBaseline, depth 0, Listing 1): nothing stays in
 // flight, so the main thread blocks on the loader, on the `.to(device)`
@@ -24,6 +28,7 @@
 #include "optim/adam.h"
 #include "prep/loader_config.h"
 #include "prep/pinned_pool.h"
+#include "train/inference.h"
 #include "train/metrics.h"
 
 namespace salient {
@@ -43,6 +48,20 @@ using GradReduce = std::function<void(const std::vector<Variable>& params)>;
 double train_step(nn::GnnModel& model, optim::Adam& optimizer,
                   const Tensor& x, const Mfg& mfg, const Tensor& y,
                   double* accuracy = nullptr, const GradReduce& reduce = {});
+
+/// Sampled mini-batch inference over `nodes` through the in-flight window:
+/// an unshuffled SalientLoader with `loader`'s fanouts, seed, workers and
+/// wire dtype feeds `device` (against `cache` when non-null), with
+/// `pipeline_depth` batches in flight, and each step is a forward pass plus
+/// argmax. Batch b's predictions land at b * loader.batch_size, so they
+/// follow `nodes` at any worker count. Leaves the model in eval mode.
+/// Rethrows the first exception a forward pass threw on the device.
+InferenceResult sampled_inference(nn::GnnModel& model, const Dataset& dataset,
+                                  std::span<const NodeId> nodes,
+                                  LoaderConfig loader, DeviceSim& device,
+                                  std::shared_ptr<PinnedPool> pool,
+                                  std::shared_ptr<const FeatureCache> cache,
+                                  int pipeline_depth);
 
 enum class LoaderKind { kBaseline, kSalient };
 
@@ -65,7 +84,7 @@ class Trainer {
   /// The trainer borrows dataset/device and shares the model; all must
   /// outlive it. The Adam optimizer is created over the model parameters.
   /// \throws std::invalid_argument for a negative pipeline depth, or the
-  /// baseline loader above depth 0.
+  /// baseline loader above depth 0 or with a feature cache.
   Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
           DeviceSim& device, TrainConfig config);
 
@@ -73,21 +92,16 @@ class Trainer {
   /// The epoch seed is derived from (config.loader.seed, epoch).
   EpochStats train_epoch(int epoch);
 
-  /// Result of a pipelined inference pass (paper Table 7's "Infer" row:
-  /// mini-batch inference runs through the same prepared-batch pipeline).
-  struct InferenceEpoch {
-    double seconds = 0;
-    double accuracy = 0;
-    std::int64_t num_batches = 0;
-    std::size_t transfer_bytes = 0;
-  };
+  /// The result of inference_epoch, under the name its callers use.
+  using InferenceEpoch = InferenceResult;
 
-  /// Sampled inference over `nodes` through the full SALIENT pipeline
-  /// (loader workers + overlapped transfers + forward-only compute), with
-  /// `fanouts` (the paper uses (20,20,20)). Model is left in eval mode.
-  InferenceEpoch inference_epoch(std::span<const NodeId> nodes,
-                                 std::span<const std::int64_t> fanouts,
-                                 std::uint64_t seed = 0x1f3a);
+  /// Sampled inference over `nodes` with `fanouts` (the paper uses
+  /// (20,20,20)): sampled_inference with the trainer's device, loader
+  /// workers, wire dtype, feature cache and pipeline depth (paper Table 7's
+  /// "Infer" row). The model is left in eval mode.
+  InferenceResult inference_epoch(std::span<const NodeId> nodes,
+                                  std::span<const std::int64_t> fanouts,
+                                  std::uint64_t seed = 0x1f3a);
 
   optim::Adam& optimizer() { return optimizer_; }
   const TrainConfig& config() const { return config_; }
@@ -97,14 +111,6 @@ class Trainer {
   }
 
  private:
-  /// The in-flight window of every epoch (see the file comment): `step`
-  /// runs on the compute stream under `step_label`, and `retire` receives
-  /// each host batch with its step's result, in batch order. Blocking time
-  /// is charged to `phases` when non-null.
-  template <class Source, class Step, class Retire>
-  void run_window(Source& source, PhaseTimer* phases, const char* step_label,
-                  Step step, Retire retire);
-
   const Dataset& dataset_;
   std::shared_ptr<nn::GnnModel> model_;
   DeviceSim& device_;

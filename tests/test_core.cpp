@@ -50,6 +50,24 @@ TEST(SystemConfig, FeatureCachePropagatesToTrainer) {
   EXPECT_EQ(plain.trainer().feature_cache(), nullptr);
 }
 
+TEST(System, AccuraciesRunTheTrainersInferenceWindow) {
+  // test_accuracy is the trainer's inference_epoch, and on the f16 wire
+  // without a cache both equal evaluate_sampled over the same nodes, batches
+  // and seed: one sampled-inference path.
+  SystemConfig cfg = small_cfg();
+  System sys(cfg);
+  sys.train_epoch();
+  const std::vector<std::int64_t> fanouts{5, 5};
+  const std::uint64_t seed = cfg.seed ^ 0x7e57;
+  const double acc = sys.test_accuracy(fanouts);
+  const Dataset& ds = sys.dataset();
+  EXPECT_EQ(acc, sys.trainer().inference_epoch(ds.test_idx, fanouts, seed)
+                     .accuracy);
+  EXPECT_EQ(acc, evaluate_sampled(*sys.model(), ds, ds.test_idx, fanouts,
+                                  cfg.batch_size, seed)
+                     .accuracy);
+}
+
 TEST(SystemConfig, RejectsUnknownDatasetAndArch) {
   SystemConfig cfg = small_cfg();
   cfg.dataset = "reddit";
@@ -71,6 +89,10 @@ TEST(System, ModelDepthMustMatchFanoutDepth) {
                              1, -1, 1);
   EXPECT_THROW(sys.model()->forward(Variable(x), mfg),
                std::invalid_argument);
+  // Sampled inference runs that forward on the compute stream, and the
+  // pass rethrows its error instead of reporting an accuracy.
+  const std::vector<std::int64_t> three_levels{3, 3, 3};
+  EXPECT_THROW(sys.test_accuracy(three_levels), std::invalid_argument);
 }
 
 TEST(System, EpochSeedsAdvance) {

@@ -1,5 +1,5 @@
-// Tests for dataset serialization (graph/io) and the training utilities
-// (LR schedulers, gradient clipping).
+// Tests for dataset serialization (graph/io): exact round trips, a loaded
+// dataset driving the sampler, and rejection of corrupt files.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "graph/io.h"
 #include "sampling/fast_sampler.h"
-#include "optim/lr_scheduler.h"
 #include "tensor/ops.h"
 
 namespace salient {
@@ -82,56 +81,6 @@ TEST(DatasetIo, RejectsCorruption) {
   EXPECT_THROW(load_dataset("/tmp/salient_does_not_exist.bin"),
                std::runtime_error);
   std::remove(path);
-}
-
-TEST(LrScheduler, StepLrDecaysGeometrically) {
-  Variable p(Tensor::ones({1}), true);
-  optim::Adam adam({p}, 0.1);
-  optim::StepLr sched(adam, /*step_size=*/2, /*gamma=*/0.5);
-  EXPECT_DOUBLE_EQ(adam.lr(), 0.1);
-  sched.step();  // epoch 1
-  EXPECT_DOUBLE_EQ(adam.lr(), 0.1);
-  sched.step();  // epoch 2 -> one decay
-  EXPECT_DOUBLE_EQ(adam.lr(), 0.05);
-  sched.step();
-  sched.step();  // epoch 4 -> two decays
-  EXPECT_DOUBLE_EQ(adam.lr(), 0.025);
-}
-
-TEST(LrScheduler, CosineAnnealsToEtaMin) {
-  Variable p(Tensor::ones({1}), true);
-  optim::Adam adam({p}, 0.2);
-  optim::CosineLr sched(adam, /*t_max=*/10, /*eta_min=*/0.02);
-  double prev = adam.lr();
-  for (int e = 0; e < 10; ++e) {
-    sched.step();
-    EXPECT_LE(adam.lr(), prev + 1e-12);  // monotone decreasing
-    prev = adam.lr();
-  }
-  EXPECT_NEAR(adam.lr(), 0.02, 1e-9);
-  sched.step();  // past t_max: clamped
-  EXPECT_NEAR(adam.lr(), 0.02, 1e-9);
-}
-
-TEST(ClipGradNorm, ScalesOnlyWhenAboveThreshold) {
-  Variable a(Tensor::zeros({2}), true);
-  Variable b(Tensor::zeros({2}), true);
-  a.accumulate_grad(Tensor::from_vector<float>({3, 0}, {2}));
-  b.accumulate_grad(Tensor::from_vector<float>({0, 4}, {2}));
-  // global norm = 5
-  const double norm = optim::clip_grad_norm({a, b}, 2.5);
-  EXPECT_NEAR(norm, 5.0, 1e-6);
-  EXPECT_NEAR(a.grad().at<float>(0), 1.5, 1e-5);
-  EXPECT_NEAR(b.grad().at<float>(1), 2.0, 1e-5);
-  // below threshold: untouched
-  const double norm2 = optim::clip_grad_norm({a, b}, 100.0);
-  EXPECT_NEAR(norm2, 2.5, 1e-5);
-  EXPECT_NEAR(a.grad().at<float>(0), 1.5, 1e-5);
-}
-
-TEST(ClipGradNorm, SkipsUndefinedGrads) {
-  Variable a(Tensor::zeros({2}), true);
-  EXPECT_DOUBLE_EQ(optim::clip_grad_norm({a}, 1.0), 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Optimizer tests: Adam against a hand-computed reference trajectory,
-// convergence on a quadratic, SGD with momentum semantics.
+// Optimizer tests: Adam (the library's one optimizer) against a
+// hand-computed reference trajectory, convergence on a quadratic, weight
+// decay, zero_grad, and a tiny classifier through the full autograd stack.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +8,6 @@
 
 #include "autograd/functions.h"
 #include "optim/adam.h"
-#include "optim/sgd.h"
 #include "tensor/ops.h"
 
 namespace salient {
@@ -82,35 +82,11 @@ TEST(Adam, WeightDecayPullsTowardZero) {
   EXPECT_NEAR(x.data().at<float>(0), 0.0, 0.05);
 }
 
-TEST(Sgd, PlainStepIsAxpy) {
-  Variable p(Tensor::from_vector<float>({1, 2}, {2}), true);
-  p.accumulate_grad(Tensor::from_vector<float>({10, -10}, {2}));
-  optim::Sgd sgd({p}, 0.01);
-  sgd.step();
-  EXPECT_FLOAT_EQ(p.data().at<float>(0), 0.9f);
-  EXPECT_FLOAT_EQ(p.data().at<float>(1), 2.1f);
-}
-
-TEST(Sgd, MomentumAccumulatesVelocity) {
-  Variable p(Tensor::zeros({1}), true);
-  optim::Sgd sgd({p}, 0.1, 0.9);
-  // constant gradient 1: velocity v_t = (1-0.9^t)/(1-0.9)
-  double v = 0, x = 0;
-  for (int t = 0; t < 5; ++t) {
-    p.zero_grad();
-    p.accumulate_grad(Tensor::ones({1}));
-    sgd.step();
-    v = 0.9 * v + 1.0;
-    x -= 0.1 * v;
-    EXPECT_NEAR(p.data().at<float>(0), x, 1e-5);
-  }
-}
-
-TEST(Optimizer, ZeroGradClearsAll) {
+TEST(Adam, ZeroGradClearsAll) {
   Variable p(Tensor::ones({2}), true);
   p.accumulate_grad(Tensor::ones({2}));
-  optim::Sgd sgd({p}, 0.1);
-  sgd.zero_grad();
+  optim::Adam adam({p}, 0.1);
+  adam.zero_grad();
   EXPECT_FALSE(p.grad().defined());
 }
 

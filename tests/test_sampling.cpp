@@ -4,6 +4,7 @@
 // and the production samplers' behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -278,6 +279,23 @@ TEST(Samplers, FullFanoutTakesWholeNeighborhood) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto deg = test_graph().degree(batch[i]);
     EXPECT_EQ((*level.indptr)[i + 1] - (*level.indptr)[i], deg);
+  }
+
+  // A fanout far beyond the graph (2^40 over two hops) reserves by the
+  // graph, not by the fanout, and samples the max-degree MFG.
+  std::int64_t max_degree = 0;
+  for (NodeId v = 0; v < test_graph().num_nodes(); ++v) {
+    max_degree = std::max(max_degree, test_graph().degree(v));
+  }
+  const std::int64_t huge = std::int64_t{1} << 40;
+  const Mfg full = FastSampler(test_graph(), {max_degree, max_degree})
+                       .sample(batch);
+  const Mfg beyond = FastSampler(test_graph(), {huge, huge}).sample(batch);
+  EXPECT_EQ(beyond.n_ids, full.n_ids);
+  ASSERT_EQ(beyond.levels.size(), full.levels.size());
+  for (std::size_t i = 0; i < full.levels.size(); ++i) {
+    EXPECT_EQ(*beyond.levels[i].indptr, *full.levels[i].indptr);
+    EXPECT_EQ(*beyond.levels[i].indices, *full.levels[i].indices);
   }
 }
 

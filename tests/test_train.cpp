@@ -1,9 +1,11 @@
 // Training-loop tests: every pipeline depth (0 = blocking) produces EXACTLY
 // the same parameters (same seeds), loss decreases, learned accuracy beats
-// chance, and both inference paths (sampled / layer-wise
-// full-neighborhood) work and agree closely.
+// chance, sampled inference predicts alike through inference_epoch and
+// evaluate_sampled, and it agrees closely with layer-wise full-neighborhood
+// inference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string_view>
 
@@ -198,7 +200,8 @@ TEST(Trainer, BaselineLoaderAlsoLearns) {
 
 TEST(Trainer, RejectsBadPipelineDepths) {
   // A negative depth, and the baseline above depth 0: the baseline is
-  // Listing 1's blocking workflow.
+  // Listing 1's blocking workflow. Nor does the baseline take a feature
+  // cache, which its loader never plans against.
   const Dataset& ds = train_dataset();
   DeviceSim device;
   TrainConfig negative = train_config();
@@ -206,7 +209,10 @@ TEST(Trainer, RejectsBadPipelineDepths) {
   TrainConfig baseline = train_config();
   baseline.loader_kind = LoaderKind::kBaseline;
   ASSERT_GT(baseline.pipeline_depth, 0);
-  for (const TrainConfig& tc : {negative, baseline}) {
+  TrainConfig cached_baseline = baseline;
+  cached_baseline.pipeline_depth = 0;
+  cached_baseline.loader.cache_percentage = 0.1;
+  for (const TrainConfig& tc : {negative, baseline, cached_baseline}) {
     EXPECT_THROW(Trainer(ds, nn::make_model("sage", model_config(ds)),
                          device, tc),
                  std::invalid_argument);
@@ -348,6 +354,10 @@ TEST(Trainer, FeatureCachedTrainingMatchesUncachedExactly) {
 }
 
 TEST(Trainer, PipelinedInferenceMatchesDirectEvaluation) {
+  // One sampled-inference path: inference_epoch and evaluate_sampled run the
+  // same window from the same seed, so at fanouts that subsample they
+  // predict alike node for node, and so does a trainer with three loader
+  // workers, whose batches can arrive out of order.
   const Dataset& ds = train_dataset();
   auto model = nn::make_model("sage", model_config(ds, 55));
   DeviceSim device;
@@ -355,12 +365,23 @@ TEST(Trainer, PipelinedInferenceMatchesDirectEvaluation) {
   for (int e = 0; e < 4; ++e) trainer.train_epoch(e);
 
   const std::vector<std::int64_t> fanouts{20, 20};
+  std::int64_t max_degree = 0;
+  for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
+    max_degree = std::max(max_degree, ds.graph.degree(v));
+  }
+  ASSERT_GT(max_degree, fanouts[0]);
   const auto pipeline = trainer.inference_epoch(ds.test_idx, fanouts, 3);
   const auto direct = evaluate_sampled(*model, ds, ds.test_idx, fanouts,
                                        trainer.config().loader.batch_size, 3);
-  // Same model, same fanout; sampling seeds differ per path, so allow a
-  // small statistical gap.
-  EXPECT_NEAR(pipeline.accuracy, direct.accuracy, 0.05);
+  EXPECT_EQ(pipeline.predictions, direct.predictions);
+  EXPECT_EQ(pipeline.accuracy, direct.accuracy);
+  TrainConfig three = train_config();
+  three.loader.num_workers = 3;
+  DeviceSim device3;
+  Trainer trainer3(ds, model, device3, three);
+  EXPECT_EQ(trainer3.inference_epoch(ds.test_idx, fanouts, 3).predictions,
+            pipeline.predictions);
+
   EXPECT_GT(pipeline.accuracy, 0.5);
   EXPECT_EQ(pipeline.num_batches,
             static_cast<std::int64_t>(
