@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   cfg.hidden_channels = 32;
   cfg.num_layers = 2;
   cfg.train_fanouts = {15, 10};
+  cfg.infer_fanouts = {20, 20};
   cfg.batch_size = 512;
   System sys(cfg);
   std::cout << "training on " << sys.dataset().name << " ("

@@ -20,7 +20,8 @@
 //
 // Adoption rules (who must use the shims): any component whose interleaving
 // a model-check scenario explores — currently FrequencyTable, MpmcQueue,
-// BlockingQueue, the ThreadPool broadcast channel, PinnedPool, ResultCache.
+// BlockingQueue, the ThreadPool broadcast channel, BufferPool (PinnedPool
+// and the device pool), ResultCache.
 // Components outside scenario scope (obs/ metrics internals, fault/) keep
 // the plain primitives; from a governed thread their operations are
 // invisible non-yield points, which is sound (they are not the structures

@@ -1,20 +1,40 @@
 #include "core/system.h"
 
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace salient {
 
-System::System(SystemConfig config) : config_(std::move(config)) {
+namespace {
+
+/// Both fanout lists sample one MFG level per model layer; a list of another
+/// depth would fail only at its first forward, after every epoch trained.
+/// Checked before the dataset is generated.
+SystemConfig checked(SystemConfig config) {
+  const auto depth = static_cast<std::size_t>(config.num_layers);
+  if (config.train_fanouts.size() != depth ||
+      config.infer_fanouts.size() != depth) {
+    throw std::invalid_argument(
+        "System: train_fanouts and infer_fanouts must list one fanout per "
+        "layer (num_layers = " + std::to_string(config.num_layers) + ")");
+  }
+  return config;
+}
+
+}  // namespace
+
+System::System(SystemConfig config) : config_(checked(std::move(config))) {
   dataset_ = generate_dataset(
       preset_config(config_.dataset, config_.dataset_scale));
   build();
 }
 
 System::System(Dataset dataset, SystemConfig config)
-    : config_(std::move(config)), dataset_(std::move(dataset)) {
+    : config_(checked(std::move(config))), dataset_(std::move(dataset)) {
   build();
 }
 

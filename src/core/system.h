@@ -30,8 +30,11 @@ namespace salient {
 class System {
  public:
   /// Generate the configured dataset preset and build the full stack.
+  /// \throws std::invalid_argument when config.train_fanouts or
+  /// config.infer_fanouts does not list exactly config.num_layers fanouts.
   explicit System(SystemConfig config);
   /// Use a caller-provided dataset (takes ownership).
+  /// \throws std::invalid_argument on fanout lists of the wrong depth.
   System(Dataset dataset, SystemConfig config);
   /// Flushes the configured observability outputs (see flush_observability).
   ~System();

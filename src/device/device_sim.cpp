@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/kernel_config.h"
 #include "tensor/quantize.h"
 #include "util/half.h"
 
@@ -54,23 +55,34 @@ void assemble_features(const Tensor& rows, const Tensor& scale,
         "assemble_features: i8q rows need scale/zero sidecars");
   }
   float* dst = out.data<float>();
-  if (plan == nullptr) {
-    convert_rows(rows, scale, zero, 0, rows.size(0), dst);
-    return;
-  }
+  const std::int64_t n = out.size(0);
+  const std::int64_t f = out.size(1);
   // Hit rows come from the plan's snapshot (dynamic policies) or the cache's
   // immutable resident matrix (static policies).
-  const Tensor& hits = plan->hit_rows.defined() ? plan->hit_rows : cache_rows;
-  const std::int64_t f = out.size(1);
-  for (std::size_t i = 0; i < plan->from_cache.size(); ++i) {
-    float* row = dst + static_cast<std::int64_t>(i) * f;
-    if (plan->from_cache[i]) {
-      std::memcpy(row, hits.data<float>() + plan->source[i] * f,
-                  static_cast<std::size_t>(f) * sizeof(float));
-    } else {
-      convert_rows(rows, scale, zero, plan->source[i], 1, row);
-    }
-  }
+  const Tensor& hits =
+      plan != nullptr && plan->hit_rows.defined() ? plan->hit_rows : cache_rows;
+  // Above the memory-bound grain the rows split across the kernel pool;
+  // each row is still written by one thread from the same source, so the
+  // result is bitwise independent of the split.
+  ops::parallel_for_n(
+      n, n * f,
+      [&](std::int64_t begin, std::int64_t end) {
+        if (plan == nullptr) {
+          convert_rows(rows, scale, zero, begin, end - begin, dst + begin * f);
+          return;
+        }
+        for (std::int64_t i = begin; i < end; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          float* row = dst + i * f;
+          if (plan->from_cache[k]) {
+            std::memcpy(row, hits.data<float>() + plan->source[k] * f,
+                        static_cast<std::size_t>(f) * sizeof(float));
+          } else {
+            convert_rows(rows, scale, zero, plan->source[k], 1, row);
+          }
+        }
+      },
+      ops::GrainClass::kMemoryBound);
 }
 
 DeviceSim::DeviceSim(DeviceConfig config)
@@ -118,10 +130,8 @@ DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
     MfgLevel dl;
     dl.num_src = level.num_src;
     dl.num_dst = level.num_dst;
-    auto indptr =
-        std::make_shared<std::vector<std::int64_t>>(level.indptr->size());
-    auto indices =
-        std::make_shared<std::vector<std::int64_t>>(level.indices->size());
+    auto indptr = pool_.acquire_indices(level.indptr->size());
+    auto indices = pool_.acquire_indices(level.indices->size());
     // Capture the source arrays by shared_ptr: the transfer stays valid even
     // if the caller recycles the PreparedBatch before the copy stream runs.
     auto src_indptr = level.indptr;
@@ -143,7 +153,7 @@ DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
   }
 
   // Labels.
-  out.y = Tensor(batch.y.shape(), batch.y.dtype());
+  out.y = pool_.acquire(batch.y.shape(), batch.y.dtype());
   Tensor y_dev = out.y;
   const Tensor y_host = batch.y;
   copy_.enqueue([this, y_dev, y_host, pinned]() mutable {
@@ -152,11 +162,11 @@ DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
 
   // Features: DMA the wire-format rows (every input row, or only the plan's
   // missing rows; f16 / f32 / per-row int8 plus its scale/zero sidecars).
-  Tensor x_dev(batch.x.shape(), batch.x.dtype());
+  Tensor x_dev = pool_.acquire(batch.x.shape(), batch.x.dtype());
   Tensor scale_dev, zero_dev;
   if (batch.x_scale.defined()) {
-    scale_dev = Tensor(batch.x_scale.shape(), batch.x_scale.dtype());
-    zero_dev = Tensor(batch.x_zero.shape(), batch.x_zero.dtype());
+    scale_dev = pool_.acquire(batch.x_scale.shape(), batch.x_scale.dtype());
+    zero_dev = pool_.acquire(batch.x_zero.shape(), batch.x_zero.dtype());
   }
   const Tensor x_host = batch.x;
   const Tensor scale_host = batch.x_scale;
@@ -180,7 +190,7 @@ DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
   const std::int64_t num_rows =
       plan ? static_cast<std::int64_t>(plan->from_cache.size())
            : batch.x.size(0);
-  out.x_f32 = Tensor({num_rows, batch.x.size(1)}, DType::kF32);
+  out.x_f32 = pool_.acquire({num_rows, batch.x.size(1)}, DType::kF32);
   Tensor x_f32_dev = out.x_f32;
   compute_.enqueue([x_dev, scale_dev, zero_dev, plan, cache_rows,
                     x_f32_dev]() mutable {

@@ -16,6 +16,7 @@
 #include "prep/feature_cache.h"
 #include "device/stream.h"
 #include "prep/batch.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/tensor.h"
 
 namespace salient {
@@ -31,7 +32,9 @@ struct DeviceConfig {
 
 /// A mini-batch resident on the device: adjacency arrays, single-precision
 /// features (assembled from the transferred wire rows and any cache hits on
-/// the compute stream), and labels.
+/// the compute stream), and labels. Every array lives in a buffer of the
+/// device's pool, which it returns to when its last reference drops — the
+/// forward and autograd may hold x_f32 and the adjacency past the batch.
 struct DeviceBatch {
   std::int64_t index = -1;
   Mfg mfg;       // adjacency arrays are device-side copies
@@ -49,7 +52,9 @@ struct DeviceBatch {
 ///    `cache_rows` (FeatureCache::features()), or a miss converted in place
 ///    from row plan->source[i] of `rows`.
 /// `rows` is the transferred wire payload: f16, f32, or i8q with its
-/// per-row `scale`/`zero` sidecars (undefined for the other dtypes).
+/// per-row `scale`/`zero` sidecars (undefined for the other dtypes). Above
+/// the memory-bound grain (ops::kMemoryBoundGrain elements) the rows are
+/// split across the kernel pool; the output is the same bytes either way.
 /// \throws std::invalid_argument on another wire dtype, or i8q rows without
 /// sidecars.
 void assemble_features(const Tensor& rows, const Tensor& scale,
@@ -64,6 +69,10 @@ class DeviceSim {
   Stream& copy_stream() { return copy_; }
   DmaEngine& dma() { return dma_; }
   const DeviceConfig& config() const { return config_; }
+  /// Device memory: every buffer a transfer receives into comes from this
+  /// pool (tensor/buffer_pool.h), so a steady-state batch allocates and
+  /// zero-fills nothing.
+  BufferPool& pool() { return pool_; }
 
   /// Enqueue the full H2D transfer of `batch` on the copy stream and the
   /// bulk wire -> f32 feature conversion on the compute stream (after the
@@ -99,6 +108,7 @@ class DeviceSim {
 
   DeviceConfig config_;
   DmaEngine dma_;
+  BufferPool pool_;
   Stream compute_;
   Stream copy_;
 };

@@ -109,6 +109,10 @@ void Stream::loop() {
         (void)e;
       }
     }
+    // Drop the item's captures (pooled device and staging buffers among
+    // them) before it counts as completed, so a synchronize() that returns
+    // finds them back in their pools.
+    item.fn = nullptr;
     {
       LockGuard lock(mu_);
       busy_seconds_ += t.seconds();

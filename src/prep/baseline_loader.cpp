@@ -13,10 +13,13 @@ namespace salient {
 BaselineLoader::BaselineLoader(const Dataset& dataset,
                                std::span<const NodeId> nodes,
                                LoaderConfig config,
-                               std::shared_ptr<PinnedPool> pool)
+                               std::shared_ptr<PinnedPool> pool,
+                               std::shared_ptr<const WireStore> store)
     : dataset_(dataset),
       config_(std::move(config)),
       pool_(pool ? std::move(pool) : std::make_shared<PinnedPool>()),
+      store_(checked_store(std::move(store), dataset.features,
+                           config_.feature_dtype)),
       epoch_nodes_(nodes.begin(), nodes.end()) {
   if (config_.shuffle) schedule_shuffle(epoch_nodes_, config_.seed);
   const auto n = static_cast<std::int64_t>(epoch_nodes_.size());
@@ -76,28 +79,21 @@ std::optional<PreparedBatch> BaselineLoader::next() {
   // The IPC read: re-materialize the MFG (consumer-side copy).
   batch.mfg = deserialize_mfg(*blob);
 
-  // PyTorch-style parallel slicing into pageable memory...
-  Tensor x_pageable({batch.mfg.num_input_nodes(), dataset_.feature_dim},
-                    dataset_.features.dtype());
-  slice_rows_parallel(dataset_.features, batch.mfg.n_ids, x_pageable,
-                      ThreadPool::global());
-  if (config_.feature_dtype == dataset_.features.dtype()) {
-    // ...followed by the pin_memory copy into a staging buffer.
-    batch.x = pool_->acquire(
-        {batch.mfg.num_input_nodes(), dataset_.feature_dim},
-        dataset_.features.dtype());
-    std::memcpy(batch.x.raw(), x_pageable.raw(), x_pageable.nbytes());
-  } else {
-    // Compressed wire format: the pin_memory copy doubles as the
-    // conversion/quantization pass (one write into pinned staging either
-    // way). Identity ids re-gather the already-sliced pageable rows.
-    std::vector<NodeId> iota(
-        static_cast<std::size_t>(batch.mfg.num_input_nodes()));
-    for (std::size_t i = 0; i < iota.size(); ++i) {
-      iota[i] = static_cast<NodeId>(i);
-    }
-    stage_feature_rows(x_pageable, iota, config_.feature_dtype, *pool_,
-                       batch);
+  // PyTorch-style parallel slicing of the wire store into pageable
+  // memory, followed by the pin_memory copy into a staging buffer.
+  const auto pin = [&](const Tensor& src) {
+    std::vector<std::int64_t> shape = src.shape();
+    shape[0] = batch.mfg.num_input_nodes();
+    Tensor pageable(shape, src.dtype());
+    slice_rows_parallel(src, batch.mfg.n_ids, pageable, ThreadPool::global());
+    Tensor pinned = pool_->acquire(std::move(shape), src.dtype());
+    std::memcpy(pinned.raw(), pageable.raw(), pageable.nbytes());
+    return pinned;
+  };
+  batch.x = pin(store_->rows);
+  if (store_->scale.defined()) {
+    batch.x_scale = pin(store_->scale);
+    batch.x_zero = pin(store_->zero);
   }
 
   batch.y = pool_->acquire({batch.mfg.batch_size}, DType::kI64);

@@ -10,9 +10,10 @@
 //     sampled MFG into a flat buffer — the stand-in for pickling tensors
 //     through POSIX shared memory between processes;
 //   * the consumer deserializes (the second copy of the IPC round trip),
-//     then slices features with the PyTorch parallel slicing path on the
-//     shared thread pool, into pageable memory, and finally copies into a
-//     pinned staging buffer (the DataLoader pin_memory stage);
+//     then slices the wire store's rows (and their int8 sidecars) with the
+//     PyTorch parallel slicing path on the shared thread pool, into
+//     pageable memory, and finally copies them into pinned staging buffers
+//     (the DataLoader pin_memory stage);
 //   * batches are consumed in epoch order (DataLoader semantics), so a slow
 //     worker stalls the consumer even when other workers have batches ready.
 //
@@ -35,8 +36,13 @@ namespace salient {
 
 class BaselineLoader {
  public:
+  /// `store` as for SalientLoader: the owner's wire store, or null to
+  /// build one from dataset.features in config.feature_dtype.
+  /// \throws std::invalid_argument when `store` is not in
+  /// config.feature_dtype.
   BaselineLoader(const Dataset& dataset, std::span<const NodeId> nodes,
-                 LoaderConfig config, std::shared_ptr<PinnedPool> pool = {});
+                 LoaderConfig config, std::shared_ptr<PinnedPool> pool = {},
+                 std::shared_ptr<const WireStore> store = {});
   ~BaselineLoader();
 
   BaselineLoader(const BaselineLoader&) = delete;
@@ -57,6 +63,7 @@ class BaselineLoader {
   const Dataset& dataset_;
   LoaderConfig config_;
   std::shared_ptr<PinnedPool> pool_;
+  std::shared_ptr<const WireStore> store_;
   std::vector<NodeId> epoch_nodes_;
   std::int64_t num_batches_ = 0;
   std::int64_t next_index_ = 0;

@@ -1,6 +1,8 @@
 #include "prep/batch.h"
 
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
@@ -11,10 +13,69 @@
 
 namespace salient {
 
+namespace {
+
+void check_wire_dtype(DType wire_dtype, const char* op) {
+  if (wire_dtype != DType::kF16 && wire_dtype != DType::kF32 &&
+      wire_dtype != DType::kInt8Q) {
+    throw std::invalid_argument(std::string(op) +
+                                ": feature_dtype must be f16/f32/i8q");
+  }
+}
+
+/// Gather rows `ids` of `store` (and their sidecars) into pooled buffers.
+void gather_wire_rows(const WireStore& store, std::span<const NodeId> ids,
+                      PinnedPool& pool, PreparedBatch& batch) {
+  const auto n = static_cast<std::int64_t>(ids.size());
+  batch.x = pool.acquire({n, store.rows.size(1)}, store.dtype());
+  slice_rows_serial(store.rows, ids, batch.x);
+  if (store.scale.defined()) {
+    batch.x_scale = pool.acquire({n}, DType::kF32);
+    batch.x_zero = pool.acquire({n}, DType::kF32);
+    slice_rows_serial(store.scale, ids, batch.x_scale);
+    slice_rows_serial(store.zero, ids, batch.x_zero);
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<const WireStore> make_wire_store(const Tensor& features,
+                                                 DType wire_dtype) {
+  check_wire_dtype(wire_dtype, "make_wire_store");
+  auto store = std::make_shared<WireStore>();
+  if (wire_dtype == features.dtype()) {
+    store->rows = features;
+    return store;
+  }
+  SALIENT_TRACE_SCOPE("prep.wire_store");
+  const std::int64_t n = features.size(0);
+  store->rows = Tensor({n, features.size(1)}, wire_dtype);
+  if (wire_dtype == DType::kInt8Q) {
+    store->scale = Tensor({n}, DType::kF32);
+    store->zero = Tensor({n}, DType::kF32);
+  }
+  std::vector<NodeId> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), NodeId{0});
+  slice_rows_to_wire(features, all, store->rows, store->scale, store->zero);
+  return store;
+}
+
+std::shared_ptr<const WireStore> checked_store(
+    std::shared_ptr<const WireStore> store, const Tensor& features,
+    DType feature_dtype) {
+  if (!store) return make_wire_store(features, feature_dtype);
+  if (store->dtype() != feature_dtype) {
+    throw std::invalid_argument(
+        "loader: the wire store must be in config.feature_dtype");
+  }
+  return store;
+}
+
 PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
+                            const WireStore& store,
                             std::span<const NodeId> seeds, std::uint64_t seed,
-                            std::int64_t index, DType wire_dtype,
-                            PinnedPool& pool, const FeatureCache* cache) {
+                            std::int64_t index, PinnedPool& pool,
+                            const FeatureCache* cache) {
   PreparedBatch batch;
   batch.index = index;
   {
@@ -25,12 +86,10 @@ PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
   if (cache != nullptr) {
     auto plan =
         std::make_shared<CachePlan>(plan_cached_batch(batch.mfg, *cache));
-    stage_feature_rows(dataset.features, missing_node_ids(batch.mfg, *plan),
-                       wire_dtype, pool, batch);
+    gather_wire_rows(store, missing_node_ids(batch.mfg, *plan), pool, batch);
     batch.cache_plan = std::move(plan);
   } else {
-    stage_feature_rows(dataset.features, batch.mfg.n_ids, wire_dtype, pool,
-                       batch);
+    gather_wire_rows(store, batch.mfg.n_ids, pool, batch);
   }
   batch.y = pool.acquire({batch.mfg.batch_size}, DType::kI64);
   slice_labels(dataset.labels,
@@ -43,25 +102,14 @@ PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
 void stage_feature_rows(const Tensor& features, std::span<const NodeId> ids,
                         DType wire_dtype, PinnedPool& pool,
                         PreparedBatch& batch) {
+  check_wire_dtype(wire_dtype, "stage_feature_rows");
   const auto n = static_cast<std::int64_t>(ids.size());
-  const std::int64_t f = features.size(1);
-  switch (wire_dtype) {
-    case DType::kF16:
-    case DType::kF32:
-      batch.x = pool.acquire({n, f}, wire_dtype);
-      slice_rows_convert_serial(features, ids, batch.x);
-      break;
-    case DType::kInt8Q:
-      batch.x = pool.acquire({n, f}, DType::kInt8Q);
-      batch.x_scale = pool.acquire({n}, DType::kF32);
-      batch.x_zero = pool.acquire({n}, DType::kF32);
-      slice_rows_quantize_serial(features, ids, batch.x, batch.x_scale,
-                                 batch.x_zero);
-      break;
-    default:
-      throw std::invalid_argument(
-          "stage_feature_rows: feature_dtype must be f16/f32/i8q");
+  batch.x = pool.acquire({n, features.size(1)}, wire_dtype);
+  if (wire_dtype == DType::kInt8Q) {
+    batch.x_scale = pool.acquire({n}, DType::kF32);
+    batch.x_zero = pool.acquire({n}, DType::kF32);
   }
+  slice_rows_to_wire(features, ids, batch.x, batch.x_scale, batch.x_zero);
 }
 
 void release_batch_buffers(PinnedPool& pool, PreparedBatch&& batch) {

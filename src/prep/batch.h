@@ -63,26 +63,59 @@ struct PreparedBatch {
 class FastSampler;
 class PinnedPool;
 
+/// The feature rows in a loader's wire dtype, converted once at set-up: the
+/// paper keeps host features in the format the device receives (§3), so
+/// staging a batch is a row gather, not a conversion. Built by the owners
+/// of a wire dtype — Trainer (its loaders and inference_epoch),
+/// serve::InferenceServer and evaluate_sampled — and shared by their
+/// loader workers, read-only.
+struct WireStore {
+  /// [N, F] every node's features in the wire dtype: Dataset::features
+  /// itself when that is the store's dtype already.
+  Tensor rows;
+  /// [N] f32 per-row scales and zero-points (tensor/quantize.h), defined
+  /// only for a kInt8Q store.
+  Tensor scale;
+  Tensor zero;
+
+  DType dtype() const { return rows.dtype(); }
+};
+
+/// The wire store of `features` in `wire_dtype`: `features` itself (shared,
+/// no copy) when the dtypes match, otherwise every row converted on the
+/// kernel pool by slice_rows_to_wire — the bytes stage_feature_rows
+/// produces for the same rows. Records a `prep.wire_store` span.
+/// \throws std::invalid_argument for a wire dtype other than f16/f32/i8q.
+std::shared_ptr<const WireStore> make_wire_store(const Tensor& features,
+                                                 DType wire_dtype);
+
 /// Prepare batch `index` of a schedule end to end — the one batch-prep path
 /// of SalientLoader and serve::InferenceServer (paper §4.2): sample the MFG
 /// of `seeds` with schedule_mix_seed(seed, index); plan it against `cache`
-/// when one is given; stage the missing rows (every input row without a
-/// cache) in `wire_dtype` into `pool` buffers through stage_feature_rows;
-/// and slice the seeds' labels into a pooled buffer. Records the
-/// `prep.sample` and `prep.slice` spans on the calling thread's track.
+/// when one is given; gather the missing rows (every input row without a
+/// cache) and their sidecars from `store` into `pool` buffers; and slice
+/// the seeds' labels into a pooled buffer. Records the `prep.sample` and
+/// `prep.slice` spans on the calling thread's track.
 PreparedBatch prepare_batch(FastSampler& sampler, const Dataset& dataset,
+                            const WireStore& store,
                             std::span<const NodeId> seeds, std::uint64_t seed,
-                            std::int64_t index, DType wire_dtype,
-                            PinnedPool& pool, const FeatureCache* cache);
+                            std::int64_t index, PinnedPool& pool,
+                            const FeatureCache* cache);
 
-/// Slice the feature rows of `ids` into `batch.x` (and, for kInt8Q,
-/// `batch.x_scale`/`batch.x_zero`) in the loader's wire dtype, staged in
-/// buffers acquired from `pool`. This is the single entry point both loaders
-/// use to produce the compressed feature payload:
-///   * wire == store dtype: plain bytewise gather;
-///   * f16 <-> f32: converting gather (bulk converters, no intermediate);
-///   * kInt8Q: per-row affine quantizing gather plus scale/zero sidecars.
-/// \throws std::invalid_argument for any other wire dtype.
+/// `store` when non-null, else make_wire_store(features, feature_dtype) —
+/// the loaders' constructor rule.
+/// \throws std::invalid_argument when `store` is not in `feature_dtype`.
+std::shared_ptr<const WireStore> checked_store(
+    std::shared_ptr<const WireStore> store, const Tensor& features,
+    DType feature_dtype);
+
+/// Convert the feature rows of `ids` into `batch.x` (and, for kInt8Q,
+/// `batch.x_scale`/`batch.x_zero`) in `wire_dtype`, staged in buffers
+/// acquired from `pool`, through slice_rows_to_wire: the bytes a gather from
+/// make_wire_store(features, wire_dtype) yields, computed for these rows
+/// alone (the reference the store is tested against, and the traced
+/// replay's slice).
+/// \throws std::invalid_argument for a wire dtype other than f16/f32/i8q.
 void stage_feature_rows(const Tensor& features, std::span<const NodeId> ids,
                         DType wire_dtype, PinnedPool& pool,
                         PreparedBatch& batch);

@@ -17,8 +17,8 @@
 //
 // Pipeline integration: the preparation side slices only the *missing* rows
 // into pinned staging (prepare_batch: plan_cached_batch + missing_node_ids +
-// stage_feature_rows), and the device assembles the full feature matrix from
-// the cache plus the transferred rows on the compute stream
+// a gather from the wire store), and the device assembles the full feature
+// matrix from the cache plus the transferred rows on the compute stream
 // (DeviceSim::transfer_batch_cached).
 //
 // Concurrency: caches built with a static policy are immutable after
@@ -156,8 +156,8 @@ class FeatureCache {
 };
 
 /// The node ids of the plan's cache-missing rows, in the order the device
-/// expects them in the staged miss buffer (prepare_batch feeds this list to
-/// stage_feature_rows so misses can ship compressed).
+/// expects them in the staged miss buffer (prepare_batch gathers these rows
+/// from the wire store, so misses ship compressed).
 std::vector<NodeId> missing_node_ids(const Mfg& mfg, const CachePlan& plan);
 
 }  // namespace salient

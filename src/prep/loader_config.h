@@ -56,8 +56,9 @@ struct LoaderConfig {
   ///   * kInt8Q: per-row affine int8 (tensor/quantize.h) — ~4x fewer bytes
   ///     than f32, plus an 8-byte/row scale/zero sidecar the device uses to
   ///     dequantize.
-  /// The loaders convert/quantize during slicing, so the pinned staging
-  /// buffers and the DMA both see only the compressed form.
+  /// The rows are converted once, into the wire store the loaders gather
+  /// from (make_wire_store, prep/batch.h), so the pinned staging buffers
+  /// and the DMA both see only the compressed form.
   DType feature_dtype = DType::kF16;
 };
 

@@ -18,15 +18,19 @@ constexpr std::chrono::microseconds kIdleBackoff{200};
 
 }  // namespace
 
+
 SalientLoader::SalientLoader(const Dataset& dataset,
                              std::span<const NodeId> nodes,
                              LoaderConfig config,
                              std::shared_ptr<PinnedPool> pool,
-                             std::shared_ptr<const FeatureCache> cache)
+                             std::shared_ptr<const FeatureCache> cache,
+                             std::shared_ptr<const WireStore> store)
     : dataset_(dataset),
       config_(std::move(config)),
       pool_(pool ? std::move(pool) : std::make_shared<PinnedPool>()),
       cache_(std::move(cache)),
+      store_(checked_store(std::move(store), dataset.features,
+                           config_.feature_dtype)),
       epoch_nodes_(nodes.begin(), nodes.end()),
       input_queue_(nodes.empty()
                        ? 2
@@ -127,15 +131,14 @@ void SalientLoader::worker_loop(int worker_index) {
     // the batch (train/trainer.cpp) — the full per-batch pipeline latency.
     SALIENT_TRACE_ASYNC_BEGIN("batch", desc.index);
 
-    // Sampling, then serial slicing directly into pinned staging buffers
-    // in config_.feature_dtype (only the cache-missing rows with a device
+    // Sampling, then a serial gather from the wire store directly into
+    // pinned staging buffers (only the cache-missing rows with a device
     // feature cache).
     PreparedBatch batch = prepare_batch(
-        sampler, dataset_,
+        sampler, dataset_, *store_,
         {epoch_nodes_.data() + desc.begin,
          static_cast<std::size_t>(desc.end - desc.begin)},
-        config_.seed, desc.index, config_.feature_dtype, *pool_,
-        cache_.get());
+        config_.seed, desc.index, *pool_, cache_.get());
     m_prepared.add();
 
     // Zero-copy hand-off to the consumer. Only a delivered batch counts

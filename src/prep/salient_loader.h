@@ -3,7 +3,8 @@
 // Design, matching the paper:
 //   * C++ worker threads prepare batches *end-to-end*: each performs
 //     neighborhood sampling (FastSampler) and then serial tensor slicing,
-//     sequentially, for one mini-batch at a time;
+//     sequentially, for one mini-batch at a time — slicing gathers rows
+//     from the wire store, already in the dtype the device receives;
 //   * workers balance load dynamically by popping mini-batch descriptors
 //     from a lock-free input queue ("Threads balance load dynamically via a
 //     lock-free input queue that contains the destination nodes for each
@@ -47,9 +48,15 @@ class SalientLoader {
   /// `cache` (optional) enables cache-aware preparation: workers slice only
   /// the rows the device cache misses (paper §8 feature caching) and attach
   /// the transfer plan to each batch.
+  /// `store` is the wire store the workers gather from (prep/batch.h); its
+  /// owner shares it across epochs. When null the loader builds its own
+  /// from dataset.features in config.feature_dtype.
+  /// \throws std::invalid_argument when `store` is not in
+  /// config.feature_dtype.
   SalientLoader(const Dataset& dataset, std::span<const NodeId> nodes,
                 LoaderConfig config, std::shared_ptr<PinnedPool> pool = {},
-                std::shared_ptr<const FeatureCache> cache = {});
+                std::shared_ptr<const FeatureCache> cache = {},
+                std::shared_ptr<const WireStore> store = {});
   /// Stops and joins the worker threads; undelivered batches are dropped.
   ~SalientLoader();
 
@@ -94,6 +101,7 @@ class SalientLoader {
   LoaderConfig config_;
   std::shared_ptr<PinnedPool> pool_;
   std::shared_ptr<const FeatureCache> cache_;
+  std::shared_ptr<const WireStore> store_;
   std::vector<NodeId> epoch_nodes_;
   std::int64_t num_batches_ = 0;
   /// Confined to the consumer thread (only next() touches it) — a contract

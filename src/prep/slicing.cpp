@@ -12,10 +12,13 @@ namespace salient {
 
 namespace {
 
+/// Elements per row of a 1-D or 2-D tensor.
+std::int64_t row_width(const Tensor& t) { return t.dim() == 2 ? t.size(1) : 1; }
+
 void check_slice_args(const Tensor& src, std::span<const NodeId> ids,
                       const Tensor& out) {
-  if (src.dim() != 2 || out.dim() != 2 || out.dtype() != src.dtype() ||
-      out.size(1) != src.size(1) ||
+  if ((src.dim() != 1 && src.dim() != 2) || out.dim() != src.dim() ||
+      out.dtype() != src.dtype() || row_width(out) != row_width(src) ||
       out.size(0) != static_cast<std::int64_t>(ids.size())) {
     throw std::runtime_error("slice_rows: bad destination shape/dtype");
   }
@@ -36,7 +39,7 @@ void check_ids(std::span<const NodeId> ids, std::int64_t n, const char* op) {
 void copy_row_range(const Tensor& src, std::span<const NodeId> ids,
                     Tensor& out, std::int64_t begin, std::int64_t end) {
   const std::size_t row_bytes =
-      static_cast<std::size_t>(src.size(1)) * dtype_size(src.dtype());
+      static_cast<std::size_t>(row_width(src)) * dtype_size(src.dtype());
   const char* ps = static_cast<const char*>(src.raw());
   char* pd = static_cast<char*>(out.raw());
   for (std::int64_t k = begin; k < end; ++k) {
@@ -65,69 +68,69 @@ void slice_rows_parallel(const Tensor& src, std::span<const NodeId> ids,
                     });
 }
 
-void slice_rows_convert_serial(const Tensor& src, std::span<const NodeId> ids,
-                               Tensor& out) {
-  if (src.dtype() == out.dtype()) {
-    slice_rows_serial(src, ids, out);
+void slice_rows_to_wire(const Tensor& src, std::span<const NodeId> ids,
+                        Tensor& out, Tensor& scale, Tensor& zero) {
+  const DType from = src.dtype();
+  const DType to = out.dtype();
+  if (from == to) {
+    slice_rows_serial(src, ids, out);  // no conversion: a plain gather
     return;
   }
+  const auto n = static_cast<std::int64_t>(ids.size());
   if (src.dim() != 2 || out.dim() != 2 || out.size(1) != src.size(1) ||
-      out.size(0) != static_cast<std::int64_t>(ids.size())) {
-    throw std::runtime_error("slice_rows_convert: bad destination shape");
+      out.size(0) != n) {
+    throw std::runtime_error("slice_rows_to_wire: bad destination shape");
   }
-  check_ids(ids, src.size(0), "slice_rows_convert");
+  if ((from != DType::kF16 && from != DType::kF32) ||
+      (to != DType::kF16 && to != DType::kF32 && to != DType::kInt8Q)) {
+    throw std::runtime_error(
+        "slice_rows_to_wire: src must be f16/f32 and out f16/f32/i8q");
+  }
+  if (to == DType::kInt8Q &&
+      (!scale.defined() || !zero.defined() || scale.numel() != n ||
+       zero.numel() != n || scale.dtype() != DType::kF32 ||
+       zero.dtype() != DType::kF32)) {
+    throw std::runtime_error(
+        "slice_rows_to_wire: i8q needs [n] f32 scale/zero");
+  }
   const std::int64_t f = src.size(1);
-  const auto n = static_cast<std::int64_t>(ids.size());
-  if (src.dtype() == DType::kF16 && out.dtype() == DType::kF32) {
-    const Half* ps = src.data<Half>();
-    float* pd = out.data<float>();
-    for (std::int64_t k = 0; k < n; ++k) {
-      half_to_float_n(ps + static_cast<std::int64_t>(ids[k]) * f, pd + k * f,
-                      static_cast<std::size_t>(f));
-    }
-  } else if (src.dtype() == DType::kF32 && out.dtype() == DType::kF16) {
-    const float* ps = src.data<float>();
-    Half* pd = out.data<Half>();
-    for (std::int64_t k = 0; k < n; ++k) {
-      float_to_half_n(ps + static_cast<std::int64_t>(ids[k]) * f, pd + k * f,
-                      static_cast<std::size_t>(f));
-    }
-  } else {
-    throw std::runtime_error("slice_rows_convert: dtypes must be f16/f32");
-  }
-}
-
-void slice_rows_quantize_serial(const Tensor& src, std::span<const NodeId> ids,
-                                Tensor& out, Tensor& scale, Tensor& zero) {
-  const auto n = static_cast<std::int64_t>(ids.size());
-  const std::int64_t f = src.size(1);
-  if (src.dim() != 2 || out.dim() != 2 || out.dtype() != DType::kInt8Q ||
-      out.size(1) != f || out.size(0) != n || scale.numel() != n ||
-      zero.numel() != n || scale.dtype() != DType::kF32 ||
-      zero.dtype() != DType::kF32) {
-    throw std::runtime_error("slice_rows_quantize: bad destination buffers");
-  }
-  if (src.dtype() != DType::kF16 && src.dtype() != DType::kF32) {
-    throw std::runtime_error("slice_rows_quantize: src must be f16/f32");
-  }
   if (f == 0) return;
-  check_ids(ids, src.size(0), "slice_rows_quantize");
-  std::int8_t* pd = out.data<std::int8_t>();
-  float* pscale = scale.data<float>();
-  float* pzero = zero.data<float>();
-  std::vector<float> stage(static_cast<std::size_t>(f));
-  for (std::int64_t k = 0; k < n; ++k) {
-    const auto row = static_cast<std::int64_t>(ids[k]);
-    const float* prow;
-    if (src.dtype() == DType::kF16) {
-      half_to_float_n(src.data<Half>() + row * f, stage.data(),
-                      static_cast<std::size_t>(f));
-      prow = stage.data();
-    } else {
-      prow = src.data<float>() + row * f;
-    }
-    ops::quantize_row(prow, f, pd + k * f, pscale + k, pzero + k);
-  }
+  check_ids(ids, src.size(0), "slice_rows_to_wire");
+  const auto cols = static_cast<std::size_t>(f);
+  const char* ps = static_cast<const char*>(src.raw());
+  char* pd = static_cast<char*>(out.raw());
+  const std::size_t src_row = cols * dtype_size(from);
+  const std::size_t out_row = cols * dtype_size(to);
+  float* pscale = to == DType::kInt8Q ? scale.data<float>() : nullptr;
+  float* pzero = to == DType::kInt8Q ? zero.data<float>() : nullptr;
+  ops::parallel_for_n(
+      n, n * f,
+      [&](std::int64_t begin, std::int64_t end) {
+        std::vector<float> stage(from == DType::kF16 ? cols : 0);
+        for (std::int64_t k = begin; k < end; ++k) {
+          const char* row =
+              ps + static_cast<std::size_t>(ids[static_cast<std::size_t>(k)]) *
+                       src_row;
+          char* dst = pd + static_cast<std::size_t>(k) * out_row;
+          if (to == DType::kF32) {
+            half_to_float_n(reinterpret_cast<const Half*>(row),
+                            reinterpret_cast<float*>(dst), cols);
+          } else if (to == DType::kF16) {
+            float_to_half_n(reinterpret_cast<const float*>(row),
+                            reinterpret_cast<Half*>(dst), cols);
+          } else {
+            const float* values = reinterpret_cast<const float*>(row);
+            if (from == DType::kF16) {
+              half_to_float_n(reinterpret_cast<const Half*>(row),
+                              stage.data(), cols);
+              values = stage.data();
+            }
+            ops::quantize_row(values, f, reinterpret_cast<std::int8_t*>(dst),
+                              pscale + k, pzero + k);
+          }
+        }
+      },
+      ops::GrainClass::kMemoryBound);
 }
 
 void slice_labels(const Tensor& labels, std::span<const NodeId> ids,

@@ -10,7 +10,8 @@
 //     tensor-slicing code ... SALIENT improves cache locality and avoids
 //     contention between threads").
 // Both write into a caller-provided destination so SALIENT can target pinned
-// staging memory directly.
+// staging memory directly. They gather from the wire store (prep/batch.h),
+// whose rows slice_rows_to_wire converted to the wire dtype once, at set-up.
 #pragma once
 
 #include <span>
@@ -22,7 +23,8 @@
 namespace salient {
 
 /// out[k,:] = src[ids[k],:]. `out` must be preallocated [ids.size(), F] with
-/// src's dtype. Works for any dtype (bytewise row copies).
+/// src's dtype (or [ids.size()] for a 1-D src, such as the per-row sidecars
+/// of the int8 wire). Works for any dtype (bytewise row copies).
 void slice_rows_serial(const Tensor& src, std::span<const NodeId> ids,
                        Tensor& out);
 
@@ -34,21 +36,18 @@ void slice_rows_parallel(const Tensor& src, std::span<const NodeId> ids,
 void slice_labels(const Tensor& labels, std::span<const NodeId> ids,
                   Tensor& out);
 
-/// Converting row gather for the compressed feature pipeline: `src` and
-/// `out` are f16 or f32 in any combination; rows are converted in flight
-/// through the bulk converters (util/half.h) while being gathered, so no
-/// intermediate full-precision copy of the batch materializes. Equal dtypes
-/// degrade to the plain bytewise gather.
-void slice_rows_convert_serial(const Tensor& src, std::span<const NodeId> ids,
-                               Tensor& out);
-
-/// Quantizing row gather: src (f16 or f32) rows are gathered and per-row
-/// affine int8-quantized (tensor/quantize.h) into `out`
-/// ([ids.size(), F] kInt8Q) with their scales/zero-points written to the
-/// preallocated [ids.size()] f32 `scale`/`zero` tensors. This is the
-/// int8 wire format's producer: quantization happens once, at slice time,
-/// so the DMA moves 1 byte per element plus 8 bytes per row.
-void slice_rows_quantize_serial(const Tensor& src, std::span<const NodeId> ids,
-                                Tensor& out, Tensor& scale, Tensor& zero);
+/// The feature path's one wire conversion: out[k,:] = src[ids[k],:] in
+/// out's dtype. `src` is f16 or f32 and `out` [ids.size(), F] in
+///   * src's dtype: a bytewise row copy;
+///   * f16 or f32 across: the bulk converters (util/half.h);
+///   * kInt8Q: per-row affine int8 (tensor/quantize.h), each row's scale and
+///     zero-point written to `scale`/`zero` ([ids.size()] f32; unused for
+///     the other dtypes).
+/// Above the memory-bound grain the rows are split across the kernel pool;
+/// each row is a pure function of its source row, so the bytes do not
+/// depend on the split. Both the wire store's build (make_wire_store) and
+/// stage_feature_rows run it.
+void slice_rows_to_wire(const Tensor& src, std::span<const NodeId> ids,
+                        Tensor& out, Tensor& scale, Tensor& zero);
 
 }  // namespace salient

@@ -60,6 +60,7 @@ InferenceServer::InferenceServer(const Dataset& dataset,
       device_(device),
       config_(std::move(config)),
       pool_(std::make_shared<PinnedPool>()),
+      store_(make_wire_store(dataset.features, config_.feature_dtype)),
       cache_(config_.result_cache_capacity),
       queue_(config_.queue_capacity),
       batcher_(queue_, config_.batch),
@@ -204,11 +205,11 @@ void InferenceServer::prep_loop(int worker_index) {
       fail_batch(std::move(cb));
       continue;
     }
-    // The training loaders' batch prep: rows ship in config_.feature_dtype,
-    // and the labels are sliced too, although serving needs none, so the
-    // device transfer path sees a uniform batch.
-    cb.prep = prepare_batch(sampler, dataset_, cb.nodes, config_.seed, cb.seq,
-                            config_.feature_dtype, *pool_,
+    // The training loaders' batch prep: rows ship in config_.feature_dtype
+    // from the server's wire store, and the labels are sliced too, although
+    // serving needs none, so the device transfer path sees a uniform batch.
+    cb.prep = prepare_batch(sampler, dataset_, *store_, cb.nodes,
+                            config_.seed, cb.seq, *pool_,
                             config_.feature_cache.get());
     if (!device_in_.push(std::move(cb))) return;  // server torn down
   }

@@ -170,6 +170,8 @@ class InferenceServer {
   DeviceSim& device_;
   ServeConfig config_;
   std::shared_ptr<PinnedPool> pool_;
+  /// The features in config_.feature_dtype, built at construction.
+  std::shared_ptr<const WireStore> store_;
   ResultCache cache_;
   RequestQueue queue_;
   MicroBatcher batcher_;

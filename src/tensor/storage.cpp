@@ -6,7 +6,7 @@
 
 namespace salient {
 
-Storage::Storage(std::size_t nbytes, bool pinned)
+Storage::Storage(std::size_t nbytes, bool pinned, bool zero_fill)
     : nbytes_(nbytes), pinned_(pinned) {
   // Round the allocation up to a multiple of the alignment as required by
   // std::aligned_alloc, and always allocate at least one cache line so that
@@ -14,7 +14,7 @@ Storage::Storage(std::size_t nbytes, bool pinned)
   const std::size_t alloc = ((nbytes + 63) / 64) * 64;
   data_ = std::aligned_alloc(64, alloc ? alloc : 64);
   if (data_ == nullptr) throw std::bad_alloc();
-  std::memset(data_, 0, alloc ? alloc : 64);
+  if (zero_fill) std::memset(data_, 0, alloc ? alloc : 64);
 }
 
 Storage::~Storage() { std::free(data_); }

@@ -13,8 +13,11 @@ namespace salient {
 
 class Storage {
  public:
-  /// Allocate `nbytes` of zero-initialized, 64-byte aligned memory.
-  explicit Storage(std::size_t nbytes, bool pinned = false);
+  /// Allocate `nbytes` of 64-byte aligned memory, zero-initialized unless
+  /// `zero_fill` is false: the pooled buffers of BufferPool skip the fill,
+  /// because every user overwrites what it acquires.
+  explicit Storage(std::size_t nbytes, bool pinned = false,
+                   bool zero_fill = true);
   ~Storage();
 
   Storage(const Storage&) = delete;

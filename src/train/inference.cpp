@@ -13,16 +13,19 @@ InferenceResult evaluate_sampled(nn::GnnModel& model, const Dataset& dataset,
                                  std::span<const NodeId> nodes,
                                  std::span<const std::int64_t> fanouts,
                                  std::int64_t batch_size, std::uint64_t seed) {
-  // The store's dtype on the wire: the rows reach the model unrounded.
+  // The store's dtype on the wire: the rows reach the model unrounded, and
+  // the wire store is the features themselves.
   LoaderConfig loader;
   loader.batch_size = batch_size;
   loader.fanouts.assign(fanouts.begin(), fanouts.end());
   loader.seed = seed;
   loader.feature_dtype = dataset.features.dtype();
   DeviceSim device;
-  return sampled_inference(model, dataset, nodes, std::move(loader), device,
-                           /*pool=*/nullptr, /*cache=*/nullptr,
-                           TrainConfig{}.pipeline_depth);
+  return sampled_inference(
+      model, dataset, nodes, std::move(loader), device, /*pool=*/nullptr,
+      /*cache=*/nullptr,
+      make_wire_store(dataset.features, dataset.features.dtype()),
+      TrainConfig{}.pipeline_depth);
 }
 
 InferenceResult evaluate_layerwise(nn::GnnModel& model, const Dataset& dataset,

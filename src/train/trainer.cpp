@@ -25,7 +25,9 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
       device_(device),
       config_(std::move(config)),
       optimizer_(model_->parameters(), config_.lr),
-      pool_(std::make_shared<PinnedPool>()) {
+      pool_(std::make_shared<PinnedPool>()),
+      store_(make_wire_store(dataset_.features,
+                             config_.loader.feature_dtype)) {
   if (config_.pipeline_depth < 0) {
     throw std::invalid_argument("trainer: pipeline_depth must be >= 0");
   }
@@ -242,11 +244,12 @@ EpochStats Trainer::train_epoch(int epoch) {
     LoaderConfig epoch_cfg = config_.loader;
     epoch_cfg.seed = schedule_epoch_seed(config_.loader.seed, epoch);
     if (config_.loader_kind == LoaderKind::kBaseline) {
-      BaselineLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_);
+      BaselineLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_,
+                            store_);
       run(loader);
     } else {
       SalientLoader loader(dataset_, dataset_.train_idx, epoch_cfg, pool_,
-                           cache_);
+                           cache_, store_);
       run(loader);
     }
   }
@@ -264,13 +267,14 @@ InferenceResult sampled_inference(nn::GnnModel& model, const Dataset& dataset,
                                   LoaderConfig loader, DeviceSim& device,
                                   std::shared_ptr<PinnedPool> pool,
                                   std::shared_ptr<const FeatureCache> cache,
+                                  std::shared_ptr<const WireStore> store,
                                   int pipeline_depth) {
   WallTimer timer;
   model.train(false);
   loader.shuffle = false;  // inference order is the caller's node order
   const std::int64_t batch_size = loader.batch_size;
   SalientLoader source(dataset, nodes, std::move(loader), std::move(pool),
-                       cache);
+                       cache, std::move(store));
 
   InferenceResult result;
   result.predictions.resize(nodes.size());
@@ -322,7 +326,8 @@ InferenceResult Trainer::inference_epoch(std::span<const NodeId> nodes,
   loader.fanouts.assign(fanouts.begin(), fanouts.end());
   loader.seed = seed;
   return sampled_inference(*model_, dataset_, nodes, std::move(loader),
-                           device_, pool_, cache_, config_.pipeline_depth);
+                           device_, pool_, cache_, store_,
+                           config_.pipeline_depth);
 }
 
 }  // namespace salient

@@ -51,16 +51,20 @@ double train_step(nn::GnnModel& model, optim::Adam& optimizer,
 
 /// Sampled mini-batch inference over `nodes` through the in-flight window:
 /// an unshuffled SalientLoader with `loader`'s fanouts, seed, workers and
-/// wire dtype feeds `device` (against `cache` when non-null), with
-/// `pipeline_depth` batches in flight, and each step is a forward pass plus
-/// argmax. Batch b's predictions land at b * loader.batch_size, so they
-/// follow `nodes` at any worker count. Leaves the model in eval mode.
-/// Rethrows the first exception a forward pass threw on the device.
+/// wire dtype, gathering from `store`, feeds `device` (against `cache` when
+/// non-null), with `pipeline_depth` batches in flight, and each step is a
+/// forward pass plus argmax. Batch b's predictions land at
+/// b * loader.batch_size, so they follow `nodes` at any worker count.
+/// Leaves the model in eval mode. Rethrows the first exception a forward
+/// pass threw on the device.
+/// \throws std::invalid_argument when `store` is not in
+/// loader.feature_dtype.
 InferenceResult sampled_inference(nn::GnnModel& model, const Dataset& dataset,
                                   std::span<const NodeId> nodes,
                                   LoaderConfig loader, DeviceSim& device,
                                   std::shared_ptr<PinnedPool> pool,
                                   std::shared_ptr<const FeatureCache> cache,
+                                  std::shared_ptr<const WireStore> store,
                                   int pipeline_depth);
 
 enum class LoaderKind { kBaseline, kSalient };
@@ -82,7 +86,9 @@ struct TrainConfig {
 class Trainer {
  public:
   /// The trainer borrows dataset/device and shares the model; all must
-  /// outlive it. The Adam optimizer is created over the model parameters.
+  /// outlive it. The Adam optimizer is created over the model parameters,
+  /// and the wire store its loaders gather from is built here, on the
+  /// kernel pool (make_wire_store).
   /// \throws std::invalid_argument for a negative pipeline depth, or the
   /// baseline loader above depth 0 or with a feature cache.
   Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
@@ -118,6 +124,9 @@ class Trainer {
   optim::Adam optimizer_;
   std::shared_ptr<PinnedPool> pool_;
   std::shared_ptr<const FeatureCache> cache_;
+  /// The features in config_.loader.feature_dtype, for every epoch's
+  /// loader and inference_epoch.
+  std::shared_ptr<const WireStore> store_;
   /// Stored batches of the last sampling epoch (sampling_period > 1 only).
   std::vector<PreparedBatch> replay_batches_;
 };

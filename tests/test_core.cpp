@@ -95,6 +95,21 @@ TEST(System, ModelDepthMustMatchFanoutDepth) {
   EXPECT_THROW(sys.test_accuracy(three_levels), std::invalid_argument);
 }
 
+TEST(System, RejectsFanoutListsOfTheWrongDepth) {
+  // Both fanout lists must name one fanout per layer, checked when the
+  // System is built rather than at the first forward of another depth,
+  // which for the inference fanouts comes only after training.
+  SystemConfig train_short = small_cfg();
+  train_short.train_fanouts = {6};
+  EXPECT_THROW(System{train_short}, std::invalid_argument);
+  SystemConfig infer_long = small_cfg();
+  infer_long.infer_fanouts = {8, 8, 8};
+  EXPECT_THROW(System{infer_long}, std::invalid_argument);
+  const Dataset ds = generate_dataset(
+      preset_config(small_cfg().dataset, small_cfg().dataset_scale));
+  EXPECT_THROW((System{ds, infer_long}), std::invalid_argument);
+}
+
 TEST(System, EpochSeedsAdvance) {
   // Two epochs must not replay identical batches (epoch seed advances):
   // compare per-epoch mean loss trajectories under frozen LR 0 — identical

@@ -19,8 +19,11 @@
 #include "prep/pinned_pool.h"
 #include "prep/slicing.h"
 #include "sampling/fast_sampler.h"
+#include "tensor/kernel_config.h"
 #include "tensor/quantize.h"
 #include "util/half.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace salient {
 namespace {
@@ -112,7 +115,9 @@ TEST(Dma, CopiesBytesAndTracksThroughput) {
 
 TEST(Dma, PageablePenaltySlowsTransfer) {
   DmaConfig cfg;
-  cfg.bandwidth_gb_per_s = 2.0;
+  // 4 ms pinned, 8 ms pageable per MiB: the modelled time, not the real
+  // memcpy inside it (slower under ThreadSanitizer), sets each copy's time.
+  cfg.bandwidth_gb_per_s = 0.25;
   cfg.pageable_fraction = 0.5;
   cfg.latency_us = 0;
   DmaEngine dma(cfg);
@@ -261,7 +266,7 @@ TEST(DeviceSim, PipelinedTransfersOverlapWithCompute) {
 /// temporary first, then scatter the cache hits and the converted misses
 /// by the plan.
 Tensor convert_then_scatter(const PreparedBatch& b, const CachePlan* plan,
-                            const FeatureCache* cache) {
+                            const Tensor& cache_rows) {
   const std::int64_t f = b.x.size(1);
   Tensor wire_f32(b.x.shape(), DType::kF32);
   switch (b.x.dtype()) {
@@ -282,7 +287,7 @@ Tensor convert_then_scatter(const PreparedBatch& b, const CachePlan* plan,
   }
   if (plan == nullptr) return wire_f32;
   const Tensor& hits =
-      plan->hit_rows.defined() ? plan->hit_rows : cache->features();
+      plan->hit_rows.defined() ? plan->hit_rows : cache_rows;
   const auto n = static_cast<std::int64_t>(plan->from_cache.size());
   Tensor out({n, f}, DType::kF32);
   for (std::int64_t i = 0; i < n; ++i) {
@@ -348,11 +353,12 @@ TEST(AssembleFeatures, BitwiseEqualsConvertThenScatter) {
       slice_labels(ds.labels,
                    {mfg.n_ids.data(), static_cast<std::size_t>(mfg.batch_size)},
                    b.y);
-      const Tensor want = convert_then_scatter(b, plan.get(), c.cache.get());
+      const Tensor cache_rows = c.cache ? c.cache->features() : Tensor();
+      const Tensor want = convert_then_scatter(b, plan.get(), cache_rows);
 
       Tensor direct(want.shape(), DType::kF32);
-      assemble_features(b.x, b.x_scale, b.x_zero, plan.get(),
-                        c.cache ? c.cache->features() : Tensor(), direct);
+      assemble_features(b.x, b.x_scale, b.x_zero, plan.get(), cache_rows,
+                        direct);
       expect_bitwise_equal(direct, want, "assemble_features");
       const DeviceBatch d =
           plan ? dev.transfer_batch_cached(b, *plan, *c.cache, true, nullptr)
@@ -370,6 +376,130 @@ TEST(AssembleFeatures, BitwiseEqualsConvertThenScatter) {
       release_batch_buffers(pool, std::move(b));
     }
   }
+
+  // Plans above the memory-bound grain (2^24 elements), where assembly may
+  // split its rows across the kernel pool (four workers here, whatever the
+  // host): a static plan reading the cache's resident rows and a dynamic
+  // one reading its hit-row snapshot, a third of the rows missing.
+  constexpr std::int64_t kF = 16;
+  const std::int64_t n = ops::kMemoryBoundGrain / kF + 333;
+  const Tensor store = Tensor::uniform({4096, kF}, 31, -2, 2);
+  const Tensor resident = Tensor::uniform({500, kF}, 32, -2, 2);
+  ThreadPool kernels(4);
+  ops::set_kernel_pool(&kernels);
+  for (const bool dynamic : {false, true}) {
+    CachePlan plan;
+    std::vector<NodeId> missing;
+    Xoshiro256ss rng(dynamic ? 41 : 42);
+    std::int64_t hits = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const bool hit = bounded_rand(rng, 3) != 0;
+      plan.from_cache.push_back(hit ? 1 : 0);
+      if (hit) {
+        plan.source.push_back(
+            dynamic ? hits : static_cast<std::int64_t>(bounded_rand(rng, 500)));
+        ++hits;
+      } else {
+        plan.source.push_back(plan.num_missing++);
+        missing.push_back(static_cast<NodeId>(bounded_rand(rng, 4096)));
+      }
+    }
+    if (dynamic) plan.hit_rows = Tensor::uniform({hits, kF}, 33, -2, 2);
+    for (const DType wire : {DType::kF16, DType::kF32, DType::kInt8Q}) {
+      SCOPED_TRACE(std::string(dtype_name(wire)) + ", " +
+                   (dynamic ? "dynamic" : "static") + ", above the grain");
+      PreparedBatch b;
+      stage_feature_rows(store, missing, wire, pool, b);
+      const Tensor want = convert_then_scatter(b, &plan, resident);
+      Tensor direct(want.shape(), DType::kF32);
+      assemble_features(b.x, b.x_scale, b.x_zero, &plan, resident, direct);
+      expect_bitwise_equal(direct, want, "assemble_features");
+      release_batch_buffers(pool, std::move(b));
+    }
+  }
+  ops::set_kernel_pool(nullptr);
+}
+
+TEST(DevicePool, TransfersReuseOnlyReleasedBuffersAndOverwriteThem) {
+  // Every device buffer a transfer receives into comes from the device's
+  // pool and returns to it when its last reference drops.
+  const Dataset& ds = dev_dataset();
+  FastSampler sampler(ds.graph, {4, 3});
+  const std::vector<NodeId> seeds(ds.train_idx.begin(),
+                                  ds.train_idx.begin() + 64);
+  const Mfg mfg = sampler.sample(seeds, 23);
+  const auto cache = std::make_shared<FeatureCache>(ds, 300);
+  const CachePlan plan = plan_cached_batch(mfg, *cache);
+  PinnedPool staging;
+  PreparedBatch b;
+  b.mfg = mfg;
+  stage_feature_rows(ds.features, missing_node_ids(mfg, plan), DType::kInt8Q,
+                     staging, b);
+  b.y = staging.acquire({mfg.batch_size}, DType::kI64);
+  slice_labels(ds.labels,
+               {mfg.n_ids.data(), static_cast<std::size_t>(mfg.batch_size)},
+               b.y);
+  const Tensor want = convert_then_scatter(b, &plan, cache->features());
+
+  DeviceSim dev;
+  const BufferPool& pool = dev.pool();
+  auto transfer = [&] {
+    DeviceBatch d = dev.transfer_batch_cached(b, plan, *cache,
+                                              /*blocking=*/true, nullptr);
+    EXPECT_LE(pool.allocated_bytes(), pool.live_high_water());
+    return d;
+  };
+  auto expect_exact = [&](const DeviceBatch& d) {
+    expect_bitwise_equal(d.x_f32, want, "x_f32");
+    EXPECT_EQ(std::memcmp(d.y.raw(), b.y.raw(), b.y.nbytes()), 0);
+    for (std::size_t i = 0; i < mfg.levels.size(); ++i) {
+      EXPECT_EQ(*d.mfg.levels[i].indptr, *mfg.levels[i].indptr);
+      EXPECT_EQ(*d.mfg.levels[i].indices, *mfg.levels[i].indices);
+    }
+  };
+  // Poison every buffer the batch holds: NaN features, sentinel ids.
+  auto poison = [](DeviceBatch& d) {
+    d.x_f32.fill_(std::nan(""));
+    std::fill_n(d.y.data<std::int64_t>(), d.y.numel(), INT64_MIN);
+    for (const MfgLevel& l : d.mfg.levels) {
+      for (const auto& ids : {l.indptr, l.indices}) {
+        auto& v = const_cast<std::vector<std::int64_t>&>(*ids);
+        std::fill(v.begin(), v.end(), INT64_MIN);
+      }
+    }
+  };
+
+  {
+    DeviceBatch d = transfer();
+    expect_exact(d);
+    poison(d);
+  }
+  const std::size_t allocs = pool.alloc_count();
+  EXPECT_GT(allocs, 0u);
+  // Repeated transfers of one batch shape allocate nothing after the
+  // first, and the poisoned buffers they reuse come back overwritten.
+  for (int r = 0; r < 4; ++r) {
+    DeviceBatch d = transfer();
+    expect_exact(d);
+    poison(d);
+  }
+  EXPECT_EQ(pool.alloc_count(), allocs);
+
+  // A buffer still referenced is never handed out: a held batch keeps its
+  // bytes while the next transfer receives into other buffers.
+  DeviceBatch held = transfer();
+  const Tensor held_x = held.x_f32.clone();
+  const DeviceBatch next = transfer();
+  expect_exact(next);
+  expect_exact(held);
+  expect_bitwise_equal(held.x_f32, held_x, "held x_f32");
+  EXPECT_NE(next.x_f32.raw(), held.x_f32.raw());
+  EXPECT_NE(next.y.raw(), held.y.raw());
+  for (std::size_t i = 0; i < mfg.levels.size(); ++i) {
+    EXPECT_NE(next.mfg.levels[i].indices->data(),
+              held.mfg.levels[i].indices->data());
+  }
+  EXPECT_GT(pool.alloc_count(), allocs);
 }
 
 TEST(AssembleFeatures, RejectsUnknownWireAndMissingSidecars) {

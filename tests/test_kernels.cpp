@@ -9,6 +9,7 @@
 //     CSRs) and under autograd::gradcheck on the optimized path.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -522,6 +523,56 @@ TEST(QuantizeRows, ConstantRowIsExact) {
   const Tensor q = ops::quantize_rows(x, &scale, &zero);
   const Tensor back = ops::dequantize_rows(q, scale, zero);
   EXPECT_TRUE(bitwise_equal(x, back));
+}
+
+TEST(QuantizeRow, OptimizedBitwiseEqualsReference) {
+  // The vectorized quantizer against the scalar reference loop, codes and
+  // sidecar bits alike, on random rows of every width around the 8-lane
+  // block and on adversarial rows.
+  KernelGuard guard;
+  std::vector<std::vector<float>> rows;
+  Xoshiro256ss rng(171);
+  for (const int cols : {1, 3, 7, 8, 9, 16, 100, 128, 131}) {
+    for (int r = 0; r < 20; ++r) {
+      std::vector<float> row(static_cast<std::size_t>(cols));
+      const double span = std::ldexp(1.0, static_cast<int>(r) - 8);
+      for (float& v : row) {
+        v = static_cast<float>(
+            (static_cast<double>(bounded_rand(rng, 1u << 24)) / (1 << 23) -
+             1.0) * span);
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  const float z = 0.0f;
+  const float nz = -0.0f;
+  rows.push_back(std::vector<float>(37, 3.25f));                // constant
+  rows.push_back({nz, z, nz, z, z, nz, z, nz, z, nz});          // only zeros
+  rows.push_back({z, nz, 1, 2, 3, 4, 5, 6, 7, 8, 9});           // +0 min first
+  rows.push_back({4, 3, nz, 2, z, 1, 7, 8, 9, 10, 11, 12});     // -0 min first
+  rows.push_back({-1, -2, z, -3, nz, -4, -5, -6, -7, -8, -9});  // +0 max first
+  rows.push_back({-5, nz, -1, z, -2, -3, -4, -6, -7, -8, -9});  // -0 max first
+  std::vector<float> huge{-1e30f, 1e30f};
+  for (int j = 0; j < 30; ++j) {
+    huge.push_back(static_cast<float>(j - 15) * 6.5e28f);
+  }
+  rows.push_back(huge);
+  std::vector<float> ties{0.0f, 255.0f};  // scale exactly 1: k + 0.5 ties
+  for (int k = 0; k < 255; ++k) ties.push_back(static_cast<float>(k) + 0.5f);
+  rows.push_back(ties);
+  for (const std::vector<float>& row : rows) {
+    const auto cols = static_cast<std::int64_t>(row.size());
+    std::vector<std::int8_t> q_ref(row.size()), q_opt(row.size());
+    float scale_ref = 0, zero_ref = 0, scale_opt = 0, zero_opt = 0;
+    guard.use(ops::KernelKind::kRef);
+    ops::quantize_row(row.data(), cols, q_ref.data(), &scale_ref, &zero_ref);
+    guard.use(ops::KernelKind::kOpt);
+    ops::quantize_row(row.data(), cols, q_opt.data(), &scale_opt, &zero_opt);
+    EXPECT_EQ(q_opt, q_ref) << cols << " columns";
+    EXPECT_EQ(std::memcmp(&scale_opt, &scale_ref, sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(&zero_opt, &zero_ref, sizeof(float)), 0)
+        << zero_opt << " vs " << zero_ref;
+  }
 }
 
 TEST(CompressedMatmul, BitwiseMatchesDequantizedMatmul) {

@@ -376,11 +376,11 @@ void expect_same_tensor(const Tensor& got, const Tensor& want,
   EXPECT_EQ(std::memcmp(got.raw(), want.raw(), want.nbytes()), 0) << what;
 }
 
-TEST(PrepareBatch, EqualsTheStepsCalledOneByOne) {
-  // prepare_batch against the calls bench/e2e's traced replay makes in
-  // turn: sample -> plan_cached_batch -> missing_node_ids ->
-  // stage_feature_rows -> slice_labels, for every wire dtype and cache kind.
-  const Dataset& ds = small_dataset();
+/// prepare_batch, gathering from the wire store, against the calls
+/// bench/e2e's traced replay makes in turn: sample -> plan_cached_batch ->
+/// missing_node_ids -> stage_feature_rows -> slice_labels, over `ds`'s
+/// feature store for every wire dtype and cache kind.
+void expect_prepare_batch_equals_steps(const Dataset& ds) {
   const std::vector<std::int64_t> fanouts{6, 4};
   constexpr std::uint64_t kSeed = 99;
   auto make_cache = [&](int kind) -> std::unique_ptr<FeatureCache> {
@@ -393,6 +393,7 @@ TEST(PrepareBatch, EqualsTheStepsCalledOneByOne) {
     for (const int kind : {0, 1, 2}) {  // no cache, degree, LRU
       SCOPED_TRACE(std::string(dtype_name(wire)) + " cache kind " +
                    std::to_string(kind));
+      const auto store = make_wire_store(ds.features, wire);
       // Two identical caches: an LRU plan mutates the cache it plans against.
       const auto cache_got = make_cache(kind);
       const auto cache_want = make_cache(kind);
@@ -403,8 +404,8 @@ TEST(PrepareBatch, EqualsTheStepsCalledOneByOne) {
       for (std::int64_t index = 0; index < 4; ++index) {
         const std::span<const NodeId> seeds(ds.train_idx.data() + index * 64,
                                             64);
-        PreparedBatch got = prepare_batch(sampler_got, ds, seeds, kSeed,
-                                          index, wire, pool, cache_got.get());
+        PreparedBatch got = prepare_batch(sampler_got, ds, *store, seeds,
+                                          kSeed, index, pool, cache_got.get());
 
         PreparedBatch want;
         want.index = index;
@@ -446,6 +447,17 @@ TEST(PrepareBatch, EqualsTheStepsCalledOneByOne) {
       EXPECT_EQ(saw_hits, kind != 0);
     }
   }
+}
+
+TEST(PrepareBatch, EqualsTheStepsCalledOneByOne) {
+  {
+    SCOPED_TRACE("f16 feature store");
+    expect_prepare_batch_equals_steps(small_dataset());
+  }
+  SCOPED_TRACE("f32 feature store");
+  Dataset f32_features = small_dataset();
+  f32_features.features = f32_features.features.to(DType::kF32);
+  expect_prepare_batch_equals_steps(f32_features);
 }
 
 // --- wire feature formats (stage_feature_rows) -------------------------------

@@ -1,10 +1,10 @@
 // bench_gate — kernel-layer benchmark regression gate.
 //
 // Measures every kernel the optimized layer covers (GEMM, the SpMM family,
-// row indexing, elementwise/reduction ops) under the reference kernels and
-// under the optimized kernels at 1/4/8 pool threads, min-of-N timed (the
-// same de-noising discipline as tests/test_device.cpp), on fixed MFG-like
-// shapes.
+// row indexing, elementwise/reduction ops, row quantization) under the
+// reference kernels and under the optimized kernels at 1/4/8 pool threads,
+// min-of-N timed with the four settings alternating within each round, on
+// fixed MFG-like shapes.
 //
 // Modes:
 //   bench_gate --emit BENCH_kernels.json [--smoke]
@@ -33,6 +33,7 @@
 #include "obs/json_lite.h"
 #include "tensor/kernel_config.h"
 #include "tensor/ops.h"
+#include "tensor/quantize.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -59,13 +60,6 @@ double time_ms(const std::function<void()>& fn) {
   const auto t0 = clock::now();
   fn();
   return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-}
-
-double time_min_ms(const std::function<void()>& fn, int reps) {
-  fn();  // warmup
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) best = std::min(best, time_ms(fn));
-  return best;
 }
 
 /// Synthetic destination-major CSR with MFG-like degree statistics.
@@ -217,24 +211,54 @@ std::vector<Entry> build_entries() {
   es.push_back({"log_softmax_rows_8kx48",
                 [] { sink(ops::log_softmax_rows(logits)); }});
   es.push_back({"argmax_rows_8kx48", [] { sink(ops::argmax_rows(logits)); }});
+
+  // Per-row int8 quantization at a feature-store width (products-sim rows
+  // hold 100 features): the scalar reference loop against the vectorized
+  // quantizer that builds the i8q wire store and runs in stage_feature_rows.
+  static const Tensor qx = Tensor::uniform({16384, 100}, 19, -3, 3);
+  es.push_back({"quantize_rows_16kx100", [] {
+                  Tensor scale, zero;
+                  sink(ops::quantize_rows(qx, &scale, &zero));
+                }});
   return es;
 }
 
+/// Each entry's four timings, taken in one loop: each of `reps` rounds
+/// times one rep under the reference kernels and one under the optimized
+/// kernels at 1, 4 and 8 threads, and each keeps its minimum, so host drift
+/// between timings taken seconds apart cannot move the speedup ratios.
 std::vector<Measurement> measure(int reps) {
   ThreadPool p1(1), p4(4), p8(8);
+  struct Setting {
+    ops::KernelKind kind;
+    ThreadPool* pool;
+    double Measurement::*ms;
+  };
+  const Setting settings[] = {
+      {ops::KernelKind::kRef, &p1, &Measurement::ref_ms},
+      {ops::KernelKind::kOpt, &p1, &Measurement::opt1_ms},
+      {ops::KernelKind::kOpt, &p4, &Measurement::opt4_ms},
+      {ops::KernelKind::kOpt, &p8, &Measurement::opt8_ms},
+  };
+  auto use = [](const Setting& s) {
+    ops::set_kernel_kind(s.kind);
+    ops::set_kernel_pool(s.pool);
+  };
   std::vector<Measurement> out;
   for (const Entry& e : build_entries()) {
     Measurement m;
     m.name = e.name;
-    ops::set_kernel_kind(ops::KernelKind::kRef);
-    ops::set_kernel_pool(&p1);
-    m.ref_ms = time_min_ms(e.run, reps);
-    ops::set_kernel_kind(ops::KernelKind::kOpt);
-    m.opt1_ms = time_min_ms(e.run, reps);
-    ops::set_kernel_pool(&p4);
-    m.opt4_ms = time_min_ms(e.run, reps);
-    ops::set_kernel_pool(&p8);
-    m.opt8_ms = time_min_ms(e.run, reps);
+    for (const Setting& s : settings) {
+      use(s);
+      e.run();  // warmup
+      m.*s.ms = 1e300;
+    }
+    for (int r = 0; r < reps; ++r) {
+      for (const Setting& s : settings) {
+        use(s);
+        m.*s.ms = std::min(m.*s.ms, time_ms(e.run));
+      }
+    }
     out.push_back(m);
     std::cerr << "  " << m.name << ": ref " << m.ref_ms << " ms, opt "
               << m.opt1_ms << " / " << m.opt4_ms << " / " << m.opt8_ms
@@ -248,9 +272,8 @@ std::vector<Measurement> measure(int reps) {
 
 /// The two timings of the fused-epilogue floor (single-thread optimized
 /// kernels), taken in one loop: each of `reps` rounds times one unfused rep
-/// and then one fused rep, and each side keeps its minimum. Two minimums
-/// taken seconds apart, as measure() takes them, would let host drift
-/// between them move the ratio.
+/// and then one fused rep, and each side keeps its minimum, as measure()
+/// does for each entry's four timings.
 struct FusionTiming {
   double unfused_ms = 1e300, fused_ms = 1e300;
 };
