@@ -3,10 +3,10 @@
 // options; train, evaluate, and optionally checkpoint. This is the "drop-in
 // system" face of the reproduction.
 //
-//   ./salient_run --dataset products-sim --scale 0.05 --arch sage \
-//                 --epochs 5 --fanouts 15,10,5 --infer-fanouts 20,20,20 \
-//                 --mode salient --workers 2 --cache-pct 10 \
-//                 --save /tmp/model.ckpt
+//   ./salient_run --dataset products-sim --scale 0.05 --arch sage
+//                 --epochs 5 --fanouts 15,10,5 --infer-fanouts 20,20,20
+//                 --mode salient --workers 2 --cache-pct 10
+//                 --save /tmp/model.ckpt        (one command, wrapped)
 //   ./salient_run --data-file mygraph.bin --arch gat --epochs 3
 //   ./salient_run --help
 #include <iostream>

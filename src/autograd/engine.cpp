@@ -57,7 +57,7 @@ void run_backward(const Variable& root, Tensor grad_root) {
   Node* root_node = root.grad_fn().get();
   if (root_node == nullptr) {
     // Root is itself a leaf: the seed is its gradient.
-    const_cast<Variable&>(root).accumulate_grad(grad_root);
+    const_cast<Variable&>(root).accumulate_grad(std::move(grad_root));
     return;
   }
 
@@ -76,6 +76,9 @@ void run_backward(const Variable& root, Tensor grad_root) {
     node_grad.erase(found);
 
     std::vector<Tensor> gins = node->backward(gout);
+    // A backward may hand grad_out on (Add does); drop the engine's own
+    // reference so the ownership test below sees only the real holders.
+    gout = Tensor();
     const auto& ins = node->inputs();
     if (gins.size() != ins.size()) {
       throw std::runtime_error(std::string("backward of ") + node->name() +
@@ -94,13 +97,15 @@ void run_backward(const Variable& root, Tensor grad_root) {
       }
       Node* producer = in.grad_fn().get();
       if (producer == nullptr) {
-        const_cast<Variable&>(in).accumulate_grad(gins[i]);
+        const_cast<Variable&>(in).accumulate_grad(std::move(gins[i]));
       } else {
         auto [slot, inserted] = node_grad.try_emplace(producer);
         if (inserted) {
-          slot->second = gins[i].clone();
-        } else {
+          slot->second = std::move(gins[i]);
+        } else if (slot->second.storage().use_count() == 1) {
           ops::axpy_(slot->second, gins[i], 1.0);
+        } else {
+          slot->second = ops::add(slot->second, gins[i]);
         }
       }
     }

@@ -48,18 +48,20 @@ Tensor slice_cols(const Tensor& x, std::int64_t col, std::int64_t w) {
 
 }  // namespace
 
+// Add and Sub hand grad_out on uncopied: the engine takes a gradient it
+// shares with another slot without ever accumulating into it in place
+// (autograd/engine.h).
 Variable add(const Variable& a, const Variable& b) {
   return make_op_result("Add", ops::add(a.data(), b.data()), {a, b},
                         [](const Tensor& g) {
-                          return std::vector<Tensor>{g.clone(), g.clone()};
+                          return std::vector<Tensor>{g, g};
                         });
 }
 
 Variable sub(const Variable& a, const Variable& b) {
   return make_op_result("Sub", ops::sub(a.data(), b.data()), {a, b},
                         [](const Tensor& g) {
-                          return std::vector<Tensor>{g.clone(),
-                                                     ops::scale(g, -1.0)};
+                          return std::vector<Tensor>{g, ops::scale(g, -1.0)};
                         });
 }
 
@@ -82,39 +84,60 @@ Variable scale(const Variable& a, double alpha) {
 Variable matmul(const Variable& a, const Variable& b, bool trans_a,
                 bool trans_b) {
   Tensor ta = a.data(), tb = b.data();
+  const bool need_a = a.requires_grad(), need_b = b.requires_grad();
   return make_op_result(
       "MatMul", ops::matmul(ta, tb, trans_a, trans_b), {a, b},
-      [ta, tb, trans_a, trans_b](const Tensor& g) {
+      [ta, tb, trans_a, trans_b, need_a, need_b](const Tensor& g) {
         // With A' = op(A), B' = op(B): gA' = g B'^T and gB' = A'^T g;
         // transpose back when the forward op transposed.
-        Tensor ga = trans_a ? ops::matmul(tb, g, trans_b, true)
-                            : ops::matmul(g, tb, false, !trans_b);
-        Tensor gb = trans_b ? ops::matmul(g, ta, true, trans_a)
-                            : ops::matmul(ta, g, !trans_a, false);
-        return std::vector<Tensor>{std::move(ga), std::move(gb)};
+        std::vector<Tensor> grads(2);
+        if (need_a) {
+          grads[0] = trans_a ? ops::matmul(tb, g, trans_b, true)
+                             : ops::matmul(g, tb, false, !trans_b);
+        }
+        if (need_b) {
+          grads[1] = trans_b ? ops::matmul(g, ta, true, trans_a)
+                             : ops::matmul(ta, g, !trans_a, false);
+        }
+        return grads;
       });
 }
 
+namespace {
+
+/// Linear's input gradients from the pre-activation gradient gp, each
+/// computed only when its input needs one (the engine skips the others): a
+/// layer over features, whose x needs none, skips its largest GEMM.
+LambdaNode::BackwardFn linear_backward(const Variable& x,
+                                       const Variable& weight,
+                                       const Variable& bias, Tensor mask) {
+  const Tensor tx = x.data(), tw = weight.data();
+  const bool need_x = x.requires_grad(), need_w = weight.requires_grad();
+  const bool has_b = bias.defined(), need_b = has_b && bias.requires_grad();
+  return [tx, tw, mask, need_x, need_w, has_b, need_b](const Tensor& g) {
+    // mask is d y/d pre (relu gate x dropout scale), so one Hadamard
+    // recovers the pre-activation gradient.
+    const Tensor gp = mask.defined() ? ops::mul(g, mask) : g;
+    std::vector<Tensor> grads(has_b ? 3 : 2);
+    if (need_x) grads[0] = ops::matmul(gp, tw, false, false);
+    if (need_w) grads[1] = ops::matmul(gp, tx, true, false);
+    if (need_b) grads[2] = ops::sum_rows(gp);
+    return grads;
+  };
+}
+
+}  // namespace
+
 Variable linear(const Variable& x, const Variable& weight,
                 const Variable& bias) {
-  Tensor tx = x.data(), tw = weight.data();
-  Tensor y = ops::matmul(tx, tw, false, true);
+  Tensor y = ops::matmul(x.data(), weight.data(), false, true);
   if (bias.defined()) {
     y = ops::add_row_broadcast(y, bias.data());
-    return make_op_result(
-        "Linear", std::move(y), {x, weight, bias},
-        [tx, tw](const Tensor& g) {
-          return std::vector<Tensor>{ops::matmul(g, tw, false, false),
-                                     ops::matmul(g, tx, true, false),
-                                     ops::sum_rows(g)};
-        });
+    return make_op_result("Linear", std::move(y), {x, weight, bias},
+                          linear_backward(x, weight, bias, Tensor()));
   }
-  return make_op_result(
-      "Linear", std::move(y), {x, weight},
-      [tx, tw](const Tensor& g) {
-        return std::vector<Tensor>{ops::matmul(g, tw, false, false),
-                                   ops::matmul(g, tx, true, false)};
-      });
+  return make_op_result("Linear", std::move(y), {x, weight},
+                        linear_backward(x, weight, bias, Tensor()));
 }
 
 Variable linear_act(const Variable& x, const Variable& weight,
@@ -123,23 +146,14 @@ Variable linear_act(const Variable& x, const Variable& weight,
   if (!bias.defined()) {
     throw std::invalid_argument("linear_act: bias required");
   }
-  Tensor tx = x.data(), tw = weight.data();
   const bool drop = training && dropout_p > 0.0;
   Tensor mask;
   Tensor y = ops::gemm_epilogue(
-      tx, tw, bias.data(),
+      x.data(), weight.data(), bias.data(),
       drop ? ops::Epilogue::kBiasReluDropout : ops::Epilogue::kBiasRelu,
       drop ? dropout_p : 0.0, seed, &mask);
-  return make_op_result(
-      "LinearAct", std::move(y), {x, weight, bias},
-      [tx, tw, mask](const Tensor& g) {
-        // mask is d y/d pre (relu gate x dropout scale), so one Hadamard
-        // recovers the pre-activation gradient; the rest is Linear backward.
-        Tensor gp = ops::mul(g, mask);
-        return std::vector<Tensor>{ops::matmul(gp, tw, false, false),
-                                   ops::matmul(gp, tx, true, false),
-                                   ops::sum_rows(gp)};
-      });
+  return make_op_result("LinearAct", std::move(y), {x, weight, bias},
+                        linear_backward(x, weight, bias, std::move(mask)));
 }
 
 Variable relu(const Variable& x) {
@@ -158,14 +172,22 @@ Variable leaky_relu(const Variable& x, double slope) {
                         });
 }
 
-Variable dropout(const Variable& x, double p, bool training,
-                 std::uint64_t seed) {
-  if (!training || p == 0.0) return x;
-  Tensor mask = ops::dropout_mask(x.data().shape(), p, seed, x.data().dtype());
-  return make_op_result("Dropout", ops::mul(x.data(), mask), {x},
+Variable act_dropout(const Variable& x, ops::Activation act, double p,
+                     bool training, std::uint64_t seed, double slope) {
+  const double q = training ? p : 0.0;
+  if (act == ops::Activation::kIdentity && q == 0.0) return x;
+  Tensor mask;
+  Tensor y = ops::act_dropout(x.data(), act, slope, q, seed,
+                              x.requires_grad() ? &mask : nullptr);
+  return make_op_result("ActDropout", std::move(y), {x},
                         [mask](const Tensor& g) {
                           return std::vector<Tensor>{ops::mul(g, mask)};
                         });
+}
+
+Variable dropout(const Variable& x, double p, bool training,
+                 std::uint64_t seed) {
+  return act_dropout(x, ops::Activation::kIdentity, p, training, seed);
 }
 
 Variable log_softmax(const Variable& x) {
@@ -256,6 +278,54 @@ Variable spmm_mean(std::shared_ptr<const std::vector<std::int64_t>> indptr,
       [indptr, indices, num_src](const Tensor& g) {
         return std::vector<Tensor>{
             ops::spmm_mean_backward(*indptr, *indices, g, num_src)};
+      });
+}
+
+Variable sage_conv(std::shared_ptr<const std::vector<std::int64_t>> indptr,
+                   std::shared_ptr<const std::vector<std::int64_t>> indices,
+                   const Variable& x, std::int64_t num_dst,
+                   const Variable& w_l, const Variable& w_r,
+                   const Variable& bias, bool relu, double dropout_p,
+                   bool training, std::uint64_t seed) {
+  const Tensor tx = x.data();
+  const std::int64_t num_src = tx.size(0);
+  const Tensor agg = ops::spmm_mean(*indptr, *indices, tx, num_dst);
+  const Tensor x_dst = tx.narrow_rows(0, num_dst);
+  const bool drop = relu && training && dropout_p > 0.0;
+  const ops::Epilogue ep = drop   ? ops::Epilogue::kBiasReluDropout
+                           : relu ? ops::Epilogue::kBiasRelu
+                           : bias.defined() ? ops::Epilogue::kBias
+                                            : ops::Epilogue::kNone;
+  const Tensor y = ops::gemm_epilogue_cat(
+      agg, w_l.data(), x_dst, w_r.data(),
+      bias.defined() ? bias.data() : Tensor(), ep, drop ? dropout_p : 0.0,
+      seed);
+  const double keep_scale = drop ? 1.0 / (1.0 - dropout_p) : 1.0;
+  const Tensor tw_l = w_l.data(), tw_r = w_r.data();
+  const bool need_x = x.requires_grad();
+  const bool need_w_l = w_l.requires_grad(), need_w_r = w_r.requires_grad();
+  const bool has_b = bias.defined(), need_b = has_b && bias.requires_grad();
+  std::vector<Variable> inputs{x, w_l, w_r};
+  if (has_b) inputs.push_back(bias);
+  return make_op_result(
+      "SageConv", y, std::move(inputs),
+      [=](const Tensor& g) {
+        const Tensor gp =
+            relu ? ops::relu_dropout_backward(g, y, keep_scale) : g;
+        std::vector<Tensor> grads(has_b ? 4 : 3);
+        if (need_x) {
+          // The root term's gradient lands in the first num_dst rows of the
+          // aggregation's scatter, so no full-size zero tensor is made.
+          Tensor dx = ops::spmm_mean_backward(
+              *indptr, *indices, ops::matmul(gp, tw_l), num_src);
+          Tensor dx_dst = dx.narrow_rows(0, num_dst);
+          ops::axpy_(dx_dst, ops::matmul(gp, tw_r), 1.0);
+          grads[0] = std::move(dx);
+        }
+        if (need_w_l) grads[1] = ops::matmul(gp, agg, true, false);
+        if (need_w_r) grads[2] = ops::matmul(gp, x_dst, true, false);
+        if (need_b) grads[3] = ops::sum_rows(gp);
+        return grads;
       });
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "tensor/ops.h"
 
 namespace salient::autograd {
 
@@ -44,7 +45,14 @@ Variable linear_act(const Variable& x, const Variable& weight,
 Variable relu(const Variable& x);
 /// leaky ReLU with the given negative slope.
 Variable leaky_relu(const Variable& x, double slope = 0.01);
-/// Inverted dropout. Identity when !training or p == 0.
+/// dropout(act(x)) in one elementwise pass (ops::act_dropout): inverted
+/// dropout with counter-based decisions from `seed` when training and
+/// p > 0, the activation alone otherwise. The backward multiplies by the
+/// combined mask d y/d x, which is written only when x needs a gradient.
+Variable act_dropout(const Variable& x, ops::Activation act, double p,
+                     bool training, std::uint64_t seed, double slope = 0.01);
+/// Inverted dropout: act_dropout with the identity activation. Identity
+/// when !training or p == 0.
 Variable dropout(const Variable& x, double p, bool training,
                  std::uint64_t seed);
 /// Row-wise log-softmax.
@@ -64,6 +72,24 @@ Variable concat_cols(const std::vector<Variable>& xs);
 Variable spmm_mean(std::shared_ptr<const std::vector<std::int64_t>> indptr,
                    std::shared_ptr<const std::vector<std::int64_t>> indices,
                    const Variable& x, std::int64_t num_dst);
+/// GraphSAGE's mean conv as one node (nn::SageConv, mean aggregator):
+///   y = tail(spmm_mean(x) · w_lᵀ + x[:num_dst] · w_rᵀ (+ bias))
+/// where tail is ReLU followed, when training and dropout_p > 0, by inverted
+/// dropout with counter-based decisions from `seed`; without `relu` there
+/// is no tail. The two Linears run as one GEMM over K = 2F whose packing
+/// reads the aggregate and the destination rows in place, and the tail
+/// rides its store (ops::gemm_epilogue_cat). The backward reads d y/d pre
+/// off the saved output (ops::relu_dropout_backward), so no mask is written
+/// in training or eval; the weight gradients pack gpᵀ in place and split a
+/// long K (ops::matmul); and dx is computed only when x needs a gradient,
+/// as spmm_mean_backward(gp · w_l) with gp · w_r added into its first
+/// num_dst rows.
+Variable sage_conv(std::shared_ptr<const std::vector<std::int64_t>> indptr,
+                   std::shared_ptr<const std::vector<std::int64_t>> indices,
+                   const Variable& x, std::int64_t num_dst,
+                   const Variable& w_l, const Variable& w_r,
+                   const Variable& bias, bool relu, double dropout_p,
+                   bool training, std::uint64_t seed);
 /// Sum-aggregation over one MFG level.
 Variable spmm_sum(std::shared_ptr<const std::vector<std::int64_t>> indptr,
                   std::shared_ptr<const std::vector<std::int64_t>> indices,

@@ -47,10 +47,12 @@ void Variable::zero_grad() {
   if (impl_) impl_->grad = Tensor();
 }
 
-void Variable::accumulate_grad(const Tensor& g) {
+void Variable::accumulate_grad(Tensor g) {
   if (!impl_) throw std::runtime_error("accumulate_grad: undefined variable");
   if (!impl_->grad.defined()) {
-    impl_->grad = g.clone();
+    // Take the buffer when nothing else holds it; copy it otherwise, so a
+    // leaf's gradient is always its own to update in place.
+    impl_->grad = g.storage().use_count() == 1 ? std::move(g) : g.clone();
   } else {
     ops::axpy_(impl_->grad, g, 1.0);
   }

@@ -24,7 +24,8 @@ class Node {
 
   /// Gradients of the node's output w.r.t. each input, given the gradient of
   /// some scalar loss w.r.t. the output. Entries for inputs that do not
-  /// require grad may be returned as undefined Tensors.
+  /// require grad may be returned as undefined Tensors. The returned tensors
+  /// are handed to the engine (see run_backward's ownership rule).
   virtual std::vector<Tensor> backward(const Tensor& grad_out) = 0;
 
   /// Diagnostic name ("MatMul", "ReLU", ...).
@@ -71,8 +72,9 @@ class Variable {
 
   /// Drop the accumulated gradient.
   void zero_grad();
-  /// Add `g` into the accumulated gradient (allocating on first use).
-  void accumulate_grad(const Tensor& g);
+  /// Add `g` into the accumulated gradient. The first gradient is taken
+  /// over without a copy when `g` is its buffer's only holder.
+  void accumulate_grad(Tensor g);
 
   /// Run reverse-mode differentiation from this (scalar or seeded) variable.
   /// If `grad_seed` is undefined, the variable must have exactly one element

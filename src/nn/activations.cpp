@@ -6,14 +6,11 @@ namespace salient::nn {
 
 Variable relu(const Variable& x) { return autograd::relu(x); }
 
-Variable leaky_relu(const Variable& x, double slope) {
-  return autograd::leaky_relu(x, slope);
-}
-
 Variable log_softmax(const Variable& x) { return autograd::log_softmax(x); }
 
-Variable Dropout::forward(const Variable& x) {
-  return autograd::dropout(x, p_, is_training(), next_seed());
+Variable Dropout::forward(const Variable& x, ops::Activation act,
+                          double slope) {
+  return autograd::act_dropout(x, act, p_, is_training(), next_seed(), slope);
 }
 
 }  // namespace salient::nn

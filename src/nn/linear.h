@@ -21,6 +21,9 @@ class Linear : public Module {
   Variable forward_act(const Variable& x, double dropout_p = 0.0,
                        std::uint64_t seed = 0);
 
+  const Variable& weight() const { return weight_; }
+  /// Undefined when the layer has no bias.
+  const Variable& bias() const { return bias_; }
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
 

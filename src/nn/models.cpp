@@ -46,24 +46,21 @@ Variable GraphSage::forward(const Variable& x, const Mfg& mfg) {
     throw std::invalid_argument("GraphSage: MFG depth != model depth");
   }
   Variable h = x;
-  for (std::size_t i = 0; i < convs_.size(); ++i) {
-    h = convs_[i]->forward(h, mfg.levels[i]);
-    if (i + 1 != convs_.size()) {
-      h = relu(h);
-      h = dropout_->forward(h);
-    }
+  for (int i = 0; i < num_layers(); ++i) {
+    h = apply_layer(i, h, mfg.levels[static_cast<std::size_t>(i)]);
   }
   return log_softmax(h);
 }
 
 Variable GraphSage::apply_layer(int i, const Variable& x,
                                 const MfgLevel& level) {
-  Variable h = convs_[static_cast<std::size_t>(i)]->forward(x, level);
+  // Inner layers run ReLU and dropout in the conv's GEMM store, with one
+  // seed drawn from the Dropout module's stream per layer.
+  ConvTail tail;
   if (i + 1 != num_layers()) {
-    h = relu(h);
-    h = dropout_->forward(h);
+    tail = ConvTail{true, dropout_->p(), dropout_->next_seed()};
   }
-  return h;
+  return convs_[static_cast<std::size_t>(i)]->forward(x, level, tail);
 }
 
 Variable GraphSage::finalize(const Variable& x) { return log_softmax(x); }
@@ -94,23 +91,16 @@ Variable Gat::forward(const Variable& x, const Mfg& mfg) {
     throw std::invalid_argument("Gat: MFG depth != model depth");
   }
   Variable h = x;
-  for (std::size_t i = 0; i < convs_.size(); ++i) {
-    h = convs_[i]->forward(h, mfg.levels[i]);
-    if (i + 1 != convs_.size()) {
-      h = relu(h);
-      h = dropout_->forward(h);
-    }
+  for (int i = 0; i < num_layers(); ++i) {
+    h = apply_layer(i, h, mfg.levels[static_cast<std::size_t>(i)]);
   }
   return log_softmax(h);
 }
 
 Variable Gat::apply_layer(int i, const Variable& x, const MfgLevel& level) {
   Variable h = convs_[static_cast<std::size_t>(i)]->forward(x, level);
-  if (i + 1 != num_layers()) {
-    h = relu(h);
-    h = dropout_->forward(h);
-  }
-  return h;
+  if (i + 1 == num_layers()) return h;
+  return dropout_->forward(h, ops::Activation::kRelu);  // one pass
 }
 
 Variable Gat::finalize(const Variable& x) { return log_softmax(x); }
@@ -213,9 +203,7 @@ Variable GraphSageRi::forward(const Variable& x, const Mfg& mfg) {
     // conv; we apply one dropout to the source matrix (the target rows are
     // its prefix), which differs only in the mask drawn for the root term.
     h = convs_[i]->forward(dropout_->forward(h), level);
-    h = bns_[i]->forward(h);
-    h = leaky_relu(h);
-    h = dropout_->forward(h);
+    h = dropout_->forward(bns_[i]->forward(h), ops::Activation::kLeakyRelu);
     collect.push_back(autograd::narrow_rows(h, 0, end_size));
     if (res_linears_[i]) {
       h = autograd::add(h, res_linears_[i]->forward(h_target));
@@ -228,8 +216,8 @@ Variable GraphSageRi::forward(const Variable& x, const Mfg& mfg) {
 }
 
 Variable GraphSageRi::finalize_from_concat(const Variable& cat) {
-  Variable h = leaky_relu(mlp1_->forward(cat));
-  h = dropout_->forward(h);
+  Variable h =
+      dropout_->forward(mlp1_->forward(cat), ops::Activation::kLeakyRelu);
   return log_softmax(mlp2_->forward(h));
 }
 

@@ -22,28 +22,32 @@ SageConv::SageConv(std::int64_t in_channels, std::int64_t out_channels,
   }
 }
 
-Variable SageConv::forward(const Variable& x, const MfgLevel& level) {
+Variable SageConv::forward(const Variable& x, const MfgLevel& level,
+                           const ConvTail& tail) {
   auto indptr = std::shared_ptr<const std::vector<std::int64_t>>(level.indptr);
   auto indices =
       std::shared_ptr<const std::vector<std::int64_t>>(level.indices);
+  if (aggregator_ == SageAggregator::kMean) {
+    return autograd::sage_conv(indptr, indices, x, level.num_dst,
+                               lin_neigh_->weight(), lin_root_->weight(),
+                               lin_neigh_->bias(), tail.relu, tail.dropout_p,
+                               is_training(), tail.seed);
+  }
   Variable agg;
-  switch (aggregator_) {
-    case SageAggregator::kMean:
-      agg = autograd::spmm_mean(indptr, indices, x, level.num_dst);
-      break;
-    case SageAggregator::kMax:
-      agg = autograd::spmm_max(indptr, indices, x, level.num_dst);
-      break;
-    case SageAggregator::kPool: {
-      // Fused bias+ReLU epilogue on the pool transform.
-      Variable transformed = lin_pool_->forward_act(x);
-      agg = autograd::spmm_max(indptr, indices, transformed, level.num_dst);
-      break;
-    }
+  if (aggregator_ == SageAggregator::kMax) {
+    agg = autograd::spmm_max(indptr, indices, x, level.num_dst);
+  } else {
+    // Fused bias+ReLU epilogue on the pool transform.
+    Variable transformed = lin_pool_->forward_act(x);
+    agg = autograd::spmm_max(indptr, indices, transformed, level.num_dst);
   }
   // Root term on the destination prefix.
   Variable x_dst = autograd::narrow_rows(x, 0, level.num_dst);
-  return autograd::add(lin_neigh_->forward(agg), lin_root_->forward(x_dst));
+  Variable h =
+      autograd::add(lin_neigh_->forward(agg), lin_root_->forward(x_dst));
+  if (!tail.relu) return h;
+  return autograd::act_dropout(h, ops::Activation::kRelu, tail.dropout_p,
+                               is_training(), tail.seed);
 }
 
 }  // namespace salient::nn

@@ -19,6 +19,16 @@ namespace salient::nn {
 
 enum class SageAggregator { kMean, kMax, kPool };
 
+/// The nonlinearity between two convs, applied to a conv's output: ReLU
+/// then inverted dropout at `dropout_p` (training mode only) with
+/// counter-based decisions from `seed`. The default is none: the last conv,
+/// and GraphSAGE-RI's convs, whose batch norm comes first.
+struct ConvTail {
+  bool relu = false;
+  double dropout_p = 0.0;
+  std::uint64_t seed = 0;
+};
+
 class SageConv : public Module {
  public:
   SageConv(std::int64_t in_channels, std::int64_t out_channels,
@@ -26,8 +36,12 @@ class SageConv : public Module {
            SageAggregator aggregator = SageAggregator::kMean);
 
   /// x is the source-node feature matrix [num_src, in]; the level supplies
-  /// the bipartite adjacency and the destination prefix size.
-  Variable forward(const Variable& x, const MfgLevel& level);
+  /// the bipartite adjacency and the destination prefix size. The mean
+  /// aggregator runs as one fused node (autograd::sage_conv) with `tail` in
+  /// its GEMM's store; max and pool compose the aggregation, the two
+  /// Linears and a one-pass tail.
+  Variable forward(const Variable& x, const MfgLevel& level,
+                   const ConvTail& tail = {});
 
   SageAggregator aggregator() const { return aggregator_; }
 

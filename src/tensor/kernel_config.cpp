@@ -47,8 +47,9 @@ bool use_parallel(std::int64_t work) {
 }
 
 bool use_parallel(std::int64_t work, GrainClass cls) {
-  const std::int64_t grain =
-      cls == GrainClass::kMemoryBound ? kMemoryBoundGrain : kParallelGrain;
+  const std::int64_t grain = cls == GrainClass::kMemoryBound ? kMemoryBoundGrain
+                             : cls == GrainClass::kGemm      ? kGemmGrain
+                                                             : kParallelGrain;
   return work >= grain && kernel_pool().size() > 1;
 }
 

@@ -71,6 +71,7 @@ inline constexpr std::int64_t kParallelGrain = 1 << 14;
 enum class GrainClass {
   kCompute,      ///< FLOP-bound: parallelize above kParallelGrain
   kMemoryBound,  ///< bandwidth-bound: parallelize above kMemoryBoundGrain
+  kGemm,         ///< one GEMM call, work = m·n·k: parallel above kGemmGrain
 };
 
 /// Threshold (total elements touched) for GrainClass::kMemoryBound ops. 2^24
@@ -79,6 +80,15 @@ enum class GrainClass {
 /// for one prefetch stream. Training-batch-sized gathers/scatters (a few
 /// million elements) stay serial.
 inline constexpr std::int64_t kMemoryBoundGrain = 1 << 24;
+
+/// Threshold (multiply-adds, m·n·k) for GrainClass::kGemm: a GEMM below it
+/// runs on the calling thread, decided once per call. 2^25 sits between the
+/// crossover points `bench_gate --smoke` measures on a 4-core host: at 2^22
+/// (gemm_f64_256x128x128) and 2^24 (gemm_f32_512x128x256) multiply-adds
+/// the 4-thread pool lost to one thread (0.23 vs 0.17 ms, 0.42 vs 0.35 ms),
+/// while the training shapes above 2^25 (GraphSAGE's layer-0 GEMMs, 2^27
+/// and up) gain from it. Every serve micro-batch GEMM stays serial.
+inline constexpr std::int64_t kGemmGrain = std::int64_t{1} << 25;
 
 /// True when `work` clears the grain and the kernel pool has >1 worker.
 bool use_parallel(std::int64_t work);

@@ -7,15 +7,22 @@
 //   * reference (SALIENT_KERNEL=ref) — the original cache-blocked i-k-j
 //     loop, kept as the ground truth for A/B benchmarks and gradcheck;
 //   * optimized (default) — a register-blocked microkernel over packed
-//     panels (tensor/gemm_kernel.h), parallelized across MR-row panels of C
-//     on the kernel pool. Packing keeps every hot loop unit-stride for all
-//     trans_a/trans_b combinations, and the branch-free k loop lets the
-//     compiler emit FMA vector code.
+//     panels (tensor/gemm_kernel.h). One blocked loop serves every operand
+//     layout: transposed operands, two operands concatenated along K (the
+//     fused GraphSAGE conv) and compressed rows are packed straight from
+//     their source, so the hot loops stay unit-stride with no staging copy.
+//     A GEMM of at least kGemmGrain multiply-adds runs as one dispatch on
+//     the kernel pool, over MR-row panels of C — or, for a small output
+//     with a long K (weight gradients), over fixed K chunks; smaller GEMMs
+//     run on the calling thread.
 //
-// Determinism: each C element is accumulated by one thread in ascending-k
-// order, so the optimized result is bitwise identical across runs and pool
-// sizes. It differs from the reference only by floating-point association
-// (register tiling), within a tight ULP bound (tests/test_kernels.cpp).
+// Determinism: each C element (or, under split-K, each chunk's partial of
+// it) is accumulated by one thread in ascending-k order, and partials are
+// summed in chunk order; the chunking depends on the shape alone. So the
+// optimized result is bitwise identical across runs and pool sizes. It
+// differs from the reference only by floating-point association (register
+// tiling, K chunks), within a tight ULP bound (tests/test_kernels.cpp).
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -72,254 +79,329 @@ void gemm_ref(const T* a, const T* b, T* c, std::int64_t m, std::int64_t k,
 /// enough to stay L1-resident while a thread sweeps its row panels.
 constexpr std::int64_t kBlockKC = 256;
 
-template <typename T>
-void transpose_into(const T* src, T* out, std::int64_t r, std::int64_t c);
+/// Row panels a thread packs and sweeps together: one k block of them is
+/// kPanelsMC * kBlockKC * MR elements (96 KiB f32), which stays in L2 while
+/// the thread walks every column panel against it.
+constexpr std::int64_t kPanelsMC = 16;
 
-/// Optimized: packed panels + register-tiled microkernel, parallel over
-/// MR-row panels of C.
-///
-/// Loop order is GotoBLAS-style: the k dimension is processed in kKC-sized
-/// blocks; within a block each thread walks column panels in the outer loop
-/// and its row panels in the inner loop, so the 32 KiB B panel it is
-/// multiplying stays hot in L1 while the (smaller) A panels stream through.
-/// The first cut of this kernel used the opposite order — every row panel
-/// swept all of packed B — and was L2-bandwidth-bound at ~20% of FMA peak.
-///
-/// Determinism: C is partitioned into MR-row panels, each owned by exactly
-/// one thread, and every element accumulates in ascending-k order (k blocks
-/// in order, ascending k within a block), so the result is bitwise identical
-/// across runs and pool sizes.
+/// Split-K: a GEMM with a small output (m·n <= kSplitKMaxOutput) and a
+/// long inner dimension — the weight gradient dW = gᵀx, whose K is the
+/// batch's row count — has too few row panels to occupy the pool. K is cut
+/// into fixed chunks of kSplitKChunk (grown so there are at most
+/// kSplitKMaxChunks), each accumulated by one thread into its own partial,
+/// and the partials are summed in chunk order. The chunking depends on the
+/// shape alone, so the result is bitwise equal across pool sizes and runs.
+constexpr std::int64_t kSplitKChunk = 4 * kBlockKC;
+constexpr std::int64_t kSplitKMaxChunks = 64;
+constexpr std::int64_t kSplitKMaxOutput = std::int64_t{1} << 14;
+
+/// Reused per-thread scratch, one buffer per Tag: a fresh allocation here
+/// costs a page-fault storm on every call (the packing loops touch each page
+/// exactly once), which at MFG sizes is a measurable slice of the whole
+/// GEMM. new[] (not std::vector) so growth skips value-initialization —
+/// packing overwrites every element. The calling thread's tags (kScratchB,
+/// kScratchPartials) differ from the ones every executing thread uses
+/// (kScratchA, kScratchSplitB), because the caller also runs a chunk; and
+/// matmul never calls itself, so one buffer per tag and thread is safe.
+enum ScratchTag { kScratchA, kScratchB, kScratchSplitB, kScratchPartials };
+
+template <typename T, ScratchTag Tag>
+T* scratch(std::int64_t want) {
+  struct Buf {
+    std::unique_ptr<T[]> p;
+    std::int64_t cap = 0;
+  };
+  thread_local Buf buf;
+  if (buf.cap < want) {
+    buf.p.reset(new T[static_cast<std::size_t>(want)]);
+    buf.cap = want;
+  }
+  return buf.p.get();
+}
+
+// --- panel packers -----------------------------------------------------------
+//
+// gemm_opt below reads its operands only through two packers:
+//   pack_a(i0, h, k0, kc, dst) writes rows [i0, i0+h) of op(A), inner slice
+//     [k0, k0+kc), as a [kc][MR] panel (rows past h zeroed);
+//   pack_b(j0, w, k0, kc, dst) writes columns [j0, j0+w) of op(B) as a
+//     [kc][NR] panel (columns past w zeroed).
+// So transposed operands, two operands concatenated along K and compressed
+// rows are all packed straight from their source, with no staging copy.
+
+/// A from a row-major [M, K] matrix.
 template <typename T>
-void gemm_opt(const T* a, const T* b, T* c, std::int64_t m, std::int64_t k,
-              std::int64_t n) {
+struct ARows {
+  const T* a;
+  std::int64_t lda;
+  void operator()(std::int64_t i0, std::int64_t h, std::int64_t k0,
+                  std::int64_t kc, T* dst) const {
+    detail::gemm_pack_a(a, lda, dst, i0, h, k0, kc);
+  }
+};
+
+/// A = Sᵀ for a row-major [K, M] matrix S: each k step is a contiguous run.
+template <typename T>
+struct ARowsT {
+  const T* a;
+  std::int64_t lda;
+  void operator()(std::int64_t i0, std::int64_t h, std::int64_t k0,
+                  std::int64_t kc, T* dst) const {
+    using detail::kGemmMR;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const T* src = a + (k0 + p) * lda + i0;
+      T* d = dst + p * kGemmMR;
+      for (std::int64_t r = 0; r < h; ++r) d[r] = src[r];
+      for (std::int64_t r = h; r < kGemmMR; ++r) d[r] = T(0);
+    }
+  }
+};
+
+/// B from a row-major [K, N] matrix.
+template <typename T>
+struct BCols {
+  const T* b;
+  std::int64_t ldb;
+  void operator()(std::int64_t j0, std::int64_t w, std::int64_t k0,
+                  std::int64_t kc, T* dst) const {
+    constexpr std::int64_t kNR = detail::kGemmNR<T>;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const T* src = b + (k0 + p) * ldb + j0;
+      T* d = dst + p * kNR;
+      for (std::int64_t c = 0; c < w; ++c) d[c] = src[c];
+      for (std::int64_t c = w; c < kNR; ++c) d[c] = T(0);
+    }
+  }
+};
+
+/// B = Sᵀ for a row-major [N, K] matrix S (the nn::Linear weight layout).
+template <typename T>
+struct BColsT {
+  const T* b;
+  std::int64_t ldb;
+  void operator()(std::int64_t j0, std::int64_t w, std::int64_t k0,
+                  std::int64_t kc, T* dst) const {
+    constexpr std::int64_t kNR = detail::kGemmNR<T>;
+    for (std::int64_t c = 0; c < w; ++c) {
+      const T* src = b + (j0 + c) * ldb + k0;
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * kNR + c] = src[p];
+    }
+    for (std::int64_t p = 0; p < kc; ++p) {
+      for (std::int64_t c = w; c < kNR; ++c) dst[p * kNR + c] = T(0);
+    }
+  }
+};
+
+/// A from a row loader `void(row, k0, len, float* dst)` that decompresses a
+/// contiguous run of a source row (f16 or i8q features): each row's
+/// kc-long segment is decompressed contiguously (bulk converters want unit
+/// stride), then the tiny tile is transposed into the panel layout.
+template <typename RowFn>
+struct ALoaded {
+  RowFn row;
+  void operator()(std::int64_t i0, std::int64_t h, std::int64_t k0,
+                  std::int64_t kc, float* dst) const {
+    using detail::kGemmMR;
+    float stage[kGemmMR][kBlockKC];
+    for (std::int64_t r = 0; r < h; ++r) row(i0 + r, k0, kc, stage[r]);
+    for (std::int64_t p = 0; p < kc; ++p) {
+      float* d = dst + p * kGemmMR;
+      for (std::int64_t r = 0; r < h; ++r) d[r] = stage[r][p];
+      for (std::int64_t r = h; r < kGemmMR; ++r) d[r] = 0.0f;
+    }
+  }
+};
+
+/// B from a row loader `void(k, j0, len, float* dst)`.
+template <typename RowFn>
+struct BLoaded {
+  RowFn row;
+  void operator()(std::int64_t j0, std::int64_t w, std::int64_t k0,
+                  std::int64_t kc, float* dst) const {
+    constexpr std::int64_t kNR = detail::kGemmNR<float>;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      row(k0 + p, j0, w, dst + p * kNR);
+      for (std::int64_t c = w; c < kNR; ++c) dst[p * kNR + c] = 0.0f;
+    }
+  }
+};
+
+/// The concatenation [lo | hi] along K: k < split packs from `lo`, and
+/// k >= split from `hi` at k - split. kStride is the packed width of one k
+/// step (MR for A panels, NR for B panels).
+template <std::int64_t kStride, typename Lo, typename Hi>
+struct ConcatK {
+  Lo lo;
+  Hi hi;
+  std::int64_t split;
+  template <typename T>
+  void operator()(std::int64_t x0, std::int64_t len, std::int64_t k0,
+                  std::int64_t kc, T* dst) const {
+    const std::int64_t n_lo = std::clamp<std::int64_t>(split - k0, 0, kc);
+    if (n_lo > 0) lo(x0, len, k0, n_lo, dst);
+    if (n_lo < kc) {
+      hi(x0, len, k0 + n_lo - split, kc - n_lo, dst + n_lo * kStride);
+    }
+  }
+};
+
+// --- the optimized GEMM --------------------------------------------------------
+
+/// Split-K path of gemm_opt (see kSplitKChunk): one dispatch over the K
+/// chunks; chunk 0 accumulates into C itself, chunk c > 0 into partial c,
+/// and the partials are then added into C in chunk order on the caller.
+template <typename T, typename PackA, typename PackB>
+void gemm_split_k(std::int64_t m, std::int64_t k, std::int64_t n,
+                  const PackA& pack_a, const PackB& pack_b, T* c) {
   using namespace detail;
   constexpr std::int64_t kNR = kGemmNR<T>;
   const std::int64_t panels = gemm_num_col_panels<T>(n);
   const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kBlockKC, k);
-  // Reused per-thread scratch: a fresh allocation here costs a page-fault
-  // storm on every call (the packing loops touch each page exactly once),
-  // which at MFG sizes is a measurable slice of the whole GEMM. new[] (not
-  // std::vector) so growth skips value-initialization — packing overwrites
-  // every element. matmul never calls itself, so one buffer per thread is
-  // safe even when GEMMs run from pool workers.
-  struct Scratch {
-    std::unique_ptr<T[]> buf;
-    std::size_t cap = 0;
-    T* get(std::size_t want) {
-      if (cap < want) {
-        buf.reset(new T[want]);
-        cap = want;
-      }
-      return buf.get();
-    }
-  };
-  thread_local Scratch scratch;
-  const std::size_t b_elems = static_cast<std::size_t>(panels * kc_max * kNR);
-  T* const b_packed = scratch.get(
-      b_elems + static_cast<std::size_t>(row_panels * kc_max * kGemmMR));
-  T* const a_packed = b_packed + b_elems;
-
-  for (std::int64_t kk = 0; kk < k; kk += kBlockKC) {
-    const std::int64_t kc = std::min(kBlockKC, k - kk);
-    parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t jp = pb; jp < pe; ++jp) {
-        const std::int64_t j0 = jp * kNR;
-        const std::int64_t w = std::min(kNR, n - j0);
-        T* dst = b_packed + jp * kc * kNR;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const T* src = b + (kk + p) * n + j0;
-          for (std::int64_t cix = 0; cix < w; ++cix) dst[cix] = src[cix];
-          for (std::int64_t cix = w; cix < kNR; ++cix) dst[cix] = T(0);
-          dst += kNR;
+  std::int64_t chunk = kSplitKChunk;
+  if (k > chunk * kSplitKMaxChunks) {
+    const std::int64_t blocks = (k + kBlockKC - 1) / kBlockKC;
+    chunk = (blocks + kSplitKMaxChunks - 1) / kSplitKMaxChunks * kBlockKC;
+  }
+  const std::int64_t chunks = (k + chunk - 1) / chunk;
+  const std::int64_t mn = m * n;
+  T* const partials = scratch<T, kScratchPartials>((chunks - 1) * mn);
+  parallel_for_n(
+      chunks, m * n * k,
+      [&](std::int64_t cb, std::int64_t ce) {
+        T* const a_packed =
+            scratch<T, kScratchA>(row_panels * kBlockKC * kGemmMR);
+        T* const b_packed =
+            scratch<T, kScratchSplitB>(panels * kBlockKC * kNR);
+        for (std::int64_t ch = cb; ch < ce; ++ch) {
+          T* const dst = ch == 0 ? c : partials + (ch - 1) * mn;
+          const std::int64_t k_lo = ch * chunk;
+          const std::int64_t k_hi = std::min(k_lo + chunk, k);
+          for (std::int64_t kk = k_lo; kk < k_hi; kk += kBlockKC) {
+            const std::int64_t kc = std::min(kBlockKC, k_hi - kk);
+            for (std::int64_t ip = 0; ip < row_panels; ++ip) {
+              pack_a(ip * kGemmMR, std::min(kGemmMR, m - ip * kGemmMR), kk,
+                     kc, a_packed + ip * kc * kGemmMR);
+            }
+            for (std::int64_t jp = 0; jp < panels; ++jp) {
+              pack_b(jp * kNR, std::min(kNR, n - jp * kNR), kk, kc,
+                     b_packed + jp * kc * kNR);
+            }
+            for (std::int64_t jp = 0; jp < panels; ++jp) {
+              const std::int64_t j0 = jp * kNR;
+              for (std::int64_t ip = 0; ip < row_panels; ++ip) {
+                const std::int64_t i0 = ip * kGemmMR;
+                gemm_microkernel(a_packed + ip * kc * kGemmMR,
+                                 b_packed + jp * kc * kNR, kc, dst, n, i0,
+                                 std::min(kGemmMR, m - i0), j0,
+                                 std::min(kNR, n - j0), kk != k_lo);
+              }
+            }
+          }
         }
-      }
-    });
-    parallel_for_n(row_panels, m * kc, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t ip = pb; ip < pe; ++ip) {
-        gemm_pack_a(a, k, a_packed + ip * kc * kGemmMR, ip * kGemmMR,
-                    std::min(kGemmMR, m - ip * kGemmMR), kk, kc);
-      }
-    });
-    parallel_for_n(row_panels, m * n * kc,
-                   [&](std::int64_t pb, std::int64_t pe) {
-                     for (std::int64_t jp = 0; jp < panels; ++jp) {
-                       const std::int64_t j0 = jp * kNR;
-                       const std::int64_t w = std::min(kNR, n - j0);
-                       const T* bp = b_packed + jp * kc * kNR;
-                       for (std::int64_t ip = pb; ip < pe; ++ip) {
-                         const std::int64_t i0 = ip * kGemmMR;
-                         const std::int64_t h = std::min(kGemmMR, m - i0);
-                         gemm_microkernel(
-                             a_packed + ip * kc * kGemmMR, bp, kc, c,
-                             n, i0, h, j0, w, kk != 0);
-                       }
-                     }
-                   });
+      },
+      GrainClass::kGemm);
+  for (std::int64_t ch = 1; ch < chunks; ++ch) {
+    const T* p = partials + (ch - 1) * mn;
+    for (std::int64_t e = 0; e < mn; ++e) c[e] += p[e];
   }
 }
 
-/// gemm_opt with a fused store-phase epilogue: identical packing, loop
-/// order, and accumulation (so the product itself is bitwise equal to
-/// gemm_opt's), but the final k block routes through gemm_microkernel_epi,
-/// which applies bias/ReLU/dropout to each finished tile while it is still
-/// on-core and streams out the combined backward mask. Earlier k blocks use
-/// the plain microkernel — the epilogue must see the completed sum, so it
-/// can only run once per output element.
-template <typename T>
-void gemm_opt_epi(const T* a, const T* b, T* c, std::int64_t m, std::int64_t k,
-                  std::int64_t n, const detail::GemmEpilogue<T>& epi) {
+/// Optimized GEMM: C[M,N] = op(A) op(B), packed panels + register-tiled
+/// microkernel, one pool dispatch per call (none below the kGemm grain).
+///
+/// B is packed once, whole, on the caller. The dispatch then splits the
+/// MR-row panels of C across threads; each thread takes its panels
+/// kPanelsMC at a time and, for each kKC-deep k block, packs that group's A
+/// panels and sweeps every column panel against them, GotoBLAS-style: the
+/// 32 KiB B panel stays hot in L1 and the A group in L2. (The first cut of
+/// this kernel had every row panel sweep all of packed B and was
+/// L2-bandwidth-bound at ~20% of FMA peak.)
+///
+/// `epi`, when set, is applied by gemm_microkernel_epi to each tile in its
+/// final k block — the epilogue must see the completed sum, so it runs once
+/// per output element. GEMMs without one take the split-K path when their
+/// shape qualifies.
+///
+/// Determinism: every C element belongs to one thread and accumulates its
+/// k blocks in ascending order (ascending k within a block), so the result
+/// is bitwise identical across runs and pool sizes.
+template <typename T, typename PackA, typename PackB>
+void gemm_opt(std::int64_t m, std::int64_t k, std::int64_t n,
+              const PackA& pack_a, const PackB& pack_b, T* c,
+              const detail::GemmEpilogue<T>* epi = nullptr) {
   using namespace detail;
+  if (m == 0 || n == 0 || k == 0) return;
+  if (epi == nullptr && m * n <= kSplitKMaxOutput &&
+      k >= 2 * kSplitKChunk) {
+    gemm_split_k(m, k, n, pack_a, pack_b, c);
+    return;
+  }
   constexpr std::int64_t kNR = kGemmNR<T>;
   const std::int64_t panels = gemm_num_col_panels<T>(n);
   const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
   const std::int64_t kc_max = std::min(kBlockKC, k);
-  struct Scratch {
-    std::unique_ptr<T[]> buf;
-    std::size_t cap = 0;
-    T* get(std::size_t want) {
-      if (cap < want) {
-        buf.reset(new T[want]);
-        cap = want;
-      }
-      return buf.get();
-    }
-  };
-  thread_local Scratch scratch;
-  const std::size_t b_elems = static_cast<std::size_t>(panels * kc_max * kNR);
-  T* const b_packed = scratch.get(
-      b_elems + static_cast<std::size_t>(row_panels * kc_max * kGemmMR));
-  T* const a_packed = b_packed + b_elems;
-
-  for (std::int64_t kk = 0; kk < k; kk += kBlockKC) {
+  const std::int64_t kblocks = (k + kBlockKC - 1) / kBlockKC;
+  // Packed B: block kb, panel jp at (kb * panels + jp) * kc_max * NR.
+  T* const b_packed = scratch<T, kScratchB>(kblocks * panels * kc_max * kNR);
+  for (std::int64_t kb = 0; kb < kblocks; ++kb) {
+    const std::int64_t kk = kb * kBlockKC;
     const std::int64_t kc = std::min(kBlockKC, k - kk);
-    const bool last_block = kk + kc == k;
-    parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t jp = pb; jp < pe; ++jp) {
-        const std::int64_t j0 = jp * kNR;
-        const std::int64_t w = std::min(kNR, n - j0);
-        T* dst = b_packed + jp * kc * kNR;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          const T* src = b + (kk + p) * n + j0;
-          for (std::int64_t cix = 0; cix < w; ++cix) dst[cix] = src[cix];
-          for (std::int64_t cix = w; cix < kNR; ++cix) dst[cix] = T(0);
-          dst += kNR;
-        }
-      }
-    });
-    parallel_for_n(row_panels, m * kc, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t ip = pb; ip < pe; ++ip) {
-        gemm_pack_a(a, k, a_packed + ip * kc * kGemmMR, ip * kGemmMR,
-                    std::min(kGemmMR, m - ip * kGemmMR), kk, kc);
-      }
-    });
-    parallel_for_n(row_panels, m * n * kc,
-                   [&](std::int64_t pb, std::int64_t pe) {
-                     for (std::int64_t jp = 0; jp < panels; ++jp) {
-                       const std::int64_t j0 = jp * kNR;
-                       const std::int64_t w = std::min(kNR, n - j0);
-                       const T* bp = b_packed + jp * kc * kNR;
-                       for (std::int64_t ip = pb; ip < pe; ++ip) {
-                         const std::int64_t i0 = ip * kGemmMR;
-                         const std::int64_t h = std::min(kGemmMR, m - i0);
-                         if (last_block) {
-                           gemm_microkernel_epi(a_packed + ip * kc * kGemmMR,
-                                                bp, kc, c, n, i0, h, j0, w,
-                                                kk != 0, epi);
-                         } else {
-                           gemm_microkernel(a_packed + ip * kc * kGemmMR, bp,
-                                            kc, c, n, i0, h, j0, w, kk != 0);
-                         }
-                       }
-                     }
-                   });
+    for (std::int64_t jp = 0; jp < panels; ++jp) {
+      pack_b(jp * kNR, std::min(kNR, n - jp * kNR), kk, kc,
+             b_packed + (kb * panels + jp) * kc_max * kNR);
+    }
   }
+  parallel_for_n(
+      row_panels, m * n * k,
+      [&](std::int64_t pb, std::int64_t pe) {
+        T* const a_packed =
+            scratch<T, kScratchA>(kPanelsMC * kc_max * kGemmMR);
+        for (std::int64_t gb = pb; gb < pe; gb += kPanelsMC) {
+          const std::int64_t ge = std::min(gb + kPanelsMC, pe);
+          for (std::int64_t kb = 0; kb < kblocks; ++kb) {
+            const std::int64_t kk = kb * kBlockKC;
+            const std::int64_t kc = std::min(kBlockKC, k - kk);
+            const bool epilogue = epi != nullptr && kk + kc == k;
+            for (std::int64_t ip = gb; ip < ge; ++ip) {
+              pack_a(ip * kGemmMR, std::min(kGemmMR, m - ip * kGemmMR), kk,
+                     kc, a_packed + (ip - gb) * kc * kGemmMR);
+            }
+            for (std::int64_t jp = 0; jp < panels; ++jp) {
+              const std::int64_t j0 = jp * kNR;
+              const std::int64_t w = std::min(kNR, n - j0);
+              const T* bp = b_packed + (kb * panels + jp) * kc_max * kNR;
+              for (std::int64_t ip = gb; ip < ge; ++ip) {
+                const std::int64_t i0 = ip * kGemmMR;
+                const std::int64_t h = std::min(kGemmMR, m - i0);
+                const T* ap = a_packed + (ip - gb) * kc * kGemmMR;
+                if (epilogue) {
+                  gemm_microkernel_epi(ap, bp, kc, c, n, i0, h, j0, w,
+                                       kk != 0, *epi);
+                } else {
+                  gemm_microkernel(ap, bp, kc, c, n, i0, h, j0, w, kk != 0);
+                }
+              }
+            }
+          }
+        }
+      },
+      GrainClass::kGemm);
 }
 
-/// Mixed-precision gemm_opt: operands are read through row loaders that
-/// decompress a contiguous run of elements straight into the packing scratch
-/// ([kc][MR] for A via a small row-major staging tile, [kc][NR] for B), so an
-/// F32 copy of a compressed operand never materializes on this path. A row
-/// loader has signature `void(row, k0, len, float* dst)` and writes `len`
-/// decompressed elements of the given source row starting at column `k0`.
-///
-/// Loop order, panel ownership, and accumulation order are identical to
-/// gemm_opt, so the result is bitwise reproducible across runs and pool
-/// sizes — and bitwise identical to up-converting the operand to F32 first
-/// and calling gemm_opt, because f16 -> f32 (and the affine int8
-/// dequantization) yield the same f32 values either way.
-template <typename ARowFn, typename BRowFn>
-void gemm_opt_loaded(const ARowFn& arow, const BRowFn& brow, float* c,
-                     std::int64_t m, std::int64_t k, std::int64_t n) {
-  using namespace detail;
-  using T = float;
-  constexpr std::int64_t kNR = kGemmNR<T>;
-  const std::int64_t panels = gemm_num_col_panels<T>(n);
-  const std::int64_t row_panels = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t kc_max = std::min(kBlockKC, k);
-  struct Scratch {
-    std::unique_ptr<T[]> buf;
-    std::size_t cap = 0;
-    T* get(std::size_t want) {
-      if (cap < want) {
-        buf.reset(new T[want]);
-        cap = want;
+/// Materialize the transpose of a row-major [r, c] matrix into out ([c, r]).
+template <typename T>
+void transpose_into(const T* src, T* out, std::int64_t r, std::int64_t c) {
+  constexpr std::int64_t kTile = 32;
+  for (std::int64_t ii = 0; ii < r; ii += kTile) {
+    const std::int64_t i_end = std::min(ii + kTile, r);
+    for (std::int64_t jj = 0; jj < c; jj += kTile) {
+      const std::int64_t j_end = std::min(jj + kTile, c);
+      for (std::int64_t i = ii; i < i_end; ++i) {
+        for (std::int64_t j = jj; j < j_end; ++j) {
+          out[j * r + i] = src[i * c + j];
+        }
       }
-      return buf.get();
     }
-  };
-  thread_local Scratch scratch;
-  const std::size_t b_elems = static_cast<std::size_t>(panels * kc_max * kNR);
-  T* const b_packed = scratch.get(
-      b_elems + static_cast<std::size_t>(row_panels * kc_max * kGemmMR));
-  T* const a_packed = b_packed + b_elems;
-
-  for (std::int64_t kk = 0; kk < k; kk += kBlockKC) {
-    const std::int64_t kc = std::min(kBlockKC, k - kk);
-    parallel_for_n(panels, kc * n, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t jp = pb; jp < pe; ++jp) {
-        const std::int64_t j0 = jp * kNR;
-        const std::int64_t w = std::min(kNR, n - j0);
-        T* dst = b_packed + jp * kc * kNR;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          brow(kk + p, j0, w, dst);
-          for (std::int64_t cix = w; cix < kNR; ++cix) dst[cix] = T(0);
-          dst += kNR;
-        }
-      }
-    });
-    parallel_for_n(row_panels, m * kc, [&](std::int64_t pb, std::int64_t pe) {
-      for (std::int64_t ip = pb; ip < pe; ++ip) {
-        const std::int64_t i0 = ip * kGemmMR;
-        const std::int64_t h = std::min(kGemmMR, m - i0);
-        // Decompress each source row's kc-long segment contiguously (bulk
-        // converters want unit stride), then transpose the tiny tile into
-        // the [kc][MR] panel layout.
-        T stage[kGemmMR][kBlockKC];
-        for (std::int64_t r = 0; r < h; ++r) arow(i0 + r, kk, kc, stage[r]);
-        T* packed = a_packed + ip * kc * kGemmMR;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          T* dst = packed + p * kGemmMR;
-          for (std::int64_t r = 0; r < h; ++r) dst[r] = stage[r][p];
-          for (std::int64_t r = h; r < kGemmMR; ++r) dst[r] = T(0);
-        }
-      }
-    });
-    parallel_for_n(row_panels, m * n * kc,
-                   [&](std::int64_t pb, std::int64_t pe) {
-                     for (std::int64_t jp = 0; jp < panels; ++jp) {
-                       const std::int64_t j0 = jp * kNR;
-                       const std::int64_t w = std::min(kNR, n - j0);
-                       const T* bp = b_packed + jp * kc * kNR;
-                       for (std::int64_t ip = pb; ip < pe; ++ip) {
-                         const std::int64_t i0 = ip * kGemmMR;
-                         const std::int64_t h = std::min(kGemmMR, m - i0);
-                         gemm_microkernel(
-                             a_packed + ip * kc * kGemmMR, bp, kc, c,
-                             n, i0, h, j0, w, kk != 0);
-                       }
-                     }
-                   });
   }
 }
 
@@ -334,9 +416,8 @@ Tensor half_matrix_to_f32(const Tensor& a) {
 
 /// Mixed f16/f32 matmul: either operand (or both) may be kF16; the result is
 /// kF32. Untransposed f16 operands are decompressed inside the packing stage
-/// by gemm_opt_loaded; transposed ones (backward-pass shapes, not the
-/// feature hot path) are materialized as f32 first, exactly like
-/// matmul_typed's transpose staging.
+/// (ALoaded / BLoaded); transposed ones (backward-pass shapes, not the
+/// feature hot path) are materialized as transposed f32 copies first.
 Tensor matmul_mixed(const Tensor& a, const Tensor& b, bool trans_a,
                     bool trans_b) {
   const std::int64_t m = trans_a ? a.size(1) : a.size(0);
@@ -427,32 +508,15 @@ Tensor matmul_mixed(const Tensor& a, const Tensor& b, bool trans_a,
   };
   float* c = out.data<float>();
   if (a16 != nullptr && b16 != nullptr) {
-    gemm_opt_loaded(a_f16row, b_f16row, c, m, k, n);
+    gemm_opt(m, k, n, ALoaded{a_f16row}, BLoaded{b_f16row}, c);
   } else if (a16 != nullptr) {
-    gemm_opt_loaded(a_f16row, b_f32row, c, m, k, n);
+    gemm_opt(m, k, n, ALoaded{a_f16row}, BLoaded{b_f32row}, c);
   } else if (b16 != nullptr) {
-    gemm_opt_loaded(a_f32row, b_f16row, c, m, k, n);
+    gemm_opt(m, k, n, ALoaded{a_f32row}, BLoaded{b_f16row}, c);
   } else {
-    gemm_opt_loaded(a_f32row, b_f32row, c, m, k, n);
+    gemm_opt(m, k, n, ALoaded{a_f32row}, BLoaded{b_f32row}, c);
   }
   return out;
-}
-
-/// Materialize the transpose of a row-major [r, c] matrix into out ([c, r]).
-template <typename T>
-void transpose_into(const T* src, T* out, std::int64_t r, std::int64_t c) {
-  constexpr std::int64_t kTile = 32;
-  for (std::int64_t ii = 0; ii < r; ii += kTile) {
-    const std::int64_t i_end = std::min(ii + kTile, r);
-    for (std::int64_t jj = 0; jj < c; jj += kTile) {
-      const std::int64_t j_end = std::min(jj + kTile, c);
-      for (std::int64_t i = ii; i < i_end; ++i) {
-        for (std::int64_t j = jj; j < j_end; ++j) {
-          out[j * r + i] = src[i * c + j];
-        }
-      }
-    }
-  }
 }
 
 template <typename T>
@@ -467,59 +531,76 @@ Tensor matmul_typed(const Tensor& a, const Tensor& b, bool trans_a,
                              " x " + b.str());
   }
   Tensor out({m, n}, a.dtype());
-
   const T* pa = a.data<T>();
   const T* pb = b.data<T>();
-  std::vector<T> a_packed, b_packed;
-  if (trans_a) {
-    a_packed.resize(static_cast<std::size_t>(m) * k);
-    transpose_into(pa, a_packed.data(), a.size(0), a.size(1));
-    pa = a_packed.data();
-  }
-  if (trans_b) {
-    b_packed.resize(static_cast<std::size_t>(k) * n);
-    transpose_into(pb, b_packed.data(), b.size(0), b.size(1));
-    pb = b_packed.data();
-  }
+  T* pc = out.data<T>();
   if (kernel_kind() == KernelKind::kRef) {
-    gemm_ref(pa, pb, out.data<T>(), m, k, n);
+    std::vector<T> at, bt;
+    if (trans_a) {
+      at.resize(static_cast<std::size_t>(m) * k);
+      transpose_into(pa, at.data(), a.size(0), a.size(1));
+      pa = at.data();
+    }
+    if (trans_b) {
+      bt.resize(static_cast<std::size_t>(k) * n);
+      transpose_into(pb, bt.data(), b.size(0), b.size(1));
+      pb = bt.data();
+    }
+    gemm_ref(pa, pb, pc, m, k, n);
+    return out;
+  }
+  // Each operand layout is packed straight from its source.
+  const std::int64_t lda = a.size(1), ldb = b.size(1);
+  if (trans_a && trans_b) {
+    gemm_opt(m, k, n, ARowsT<T>{pa, lda}, BColsT<T>{pb, ldb}, pc);
+  } else if (trans_a) {
+    gemm_opt(m, k, n, ARowsT<T>{pa, lda}, BCols<T>{pb, ldb}, pc);
+  } else if (trans_b) {
+    gemm_opt(m, k, n, ARows<T>{pa, lda}, BColsT<T>{pb, ldb}, pc);
   } else {
-    gemm_opt(pa, pb, out.data<T>(), m, k, n);
+    gemm_opt(m, k, n, ARows<T>{pa, lda}, BCols<T>{pb, ldb}, pc);
   }
   return out;
 }
 
+/// y = epilogue(x0 w0ᵀ + x1 w1ᵀ) as one GEMM over K = K0 + K1 (x1/w1 null:
+/// the one-operand Linear). The optimized path packs A from [x0 | x1] and B
+/// from [w0 | w1]ᵀ through ConcatK, so no concatenated copy is made.
 template <typename T>
-Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
+Tensor gemm_epilogue_typed(const Tensor& x0, const Tensor& w0,
+                           const Tensor* x1, const Tensor* w1,
                            const Tensor& bias, Epilogue ep, double dropout_p,
                            std::uint64_t seed, Tensor* mask_out) {
-  const std::int64_t m = x.size(0), k = x.size(1), n = w.size(0);
-  if (w.size(1) != k) {
+  const std::int64_t m = x0.size(0), k0 = x0.size(1), n = w0.size(0);
+  const std::int64_t k1 = x1 != nullptr ? x1->size(1) : 0;
+  const std::int64_t k = k0 + k1;
+  if (w0.size(1) != k0 ||
+      (x1 != nullptr &&
+       (x1->size(0) != m || w1->size(0) != n || w1->size(1) != k1))) {
     throw std::runtime_error("gemm_epilogue: inner dimension mismatch: " +
-                             x.str() + " x " + w.str() + "^T");
+                             x0.str() + " x " + w0.str() + "^T");
   }
-  if (ep != Epilogue::kNone &&
-      (bias.dim() != 1 || bias.size(0) != n || bias.dtype() != x.dtype())) {
+  if (ep == Epilogue::kBias && !bias.defined()) {
+    throw std::runtime_error("gemm_epilogue: kBias needs a bias");
+  }
+  const bool has_bias = ep != Epilogue::kNone && bias.defined();
+  if (has_bias &&
+      (bias.dim() != 1 || bias.size(0) != n || bias.dtype() != x0.dtype())) {
     throw std::runtime_error("gemm_epilogue: bias must be [N] of x's dtype");
   }
   if (ep == Epilogue::kBiasReluDropout && (dropout_p < 0 || dropout_p >= 1)) {
     throw std::invalid_argument("gemm_epilogue: bad dropout_p");
   }
-  Tensor out({m, n}, x.dtype());
+  Tensor out({m, n}, x0.dtype());
   T* pmask = nullptr;
   if (mask_out != nullptr &&
       (ep == Epilogue::kBiasRelu || ep == Epilogue::kBiasReluDropout)) {
-    *mask_out = Tensor({m, n}, x.dtype());
+    *mask_out = Tensor({m, n}, x0.dtype());
     pmask = mask_out->data<T>();
   }
-  // w is [N,K] (the nn::Linear layout); the packed path wants B row-major
-  // [K,N], so materialize the transpose exactly like matmul(trans_b=true).
-  std::vector<T> wt(static_cast<std::size_t>(k) * n);
-  transpose_into(w.data<T>(), wt.data(), n, k);
-
   detail::GemmEpilogue<T> epi;
   epi.kind = ep;
-  epi.bias = ep != Epilogue::kNone ? bias.data<T>() : nullptr;
+  epi.bias = has_bias ? bias.data<T>() : nullptr;
   epi.mask = pmask;
   epi.n = n;
   if (ep == Epilogue::kBiasReluDropout) {
@@ -527,17 +608,22 @@ Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
     epi.seed = seed;
     epi.drop_threshold = dropout_drop_threshold(dropout_p);
   }
+  T* pc = out.data<T>();
 
   if (kernel_kind() == KernelKind::kRef) {
-    // Reference: ground-truth GEMM, then the same epilogue math applied in
-    // one serial elementwise pass (the branch-select forms mirror
-    // gemm_microkernel_epi so ref and opt differ only by GEMM association).
-    gemm_ref(x.data<T>(), wt.data(), out.data<T>(), m, k, n);
-    T* pc = out.data<T>();
+    // Reference: materialize [x0 | x1] and [w0 | w1]ᵀ, run the ground-truth
+    // GEMM, then the same epilogue math in one serial elementwise pass (the
+    // branch-select forms mirror gemm_microkernel_epi so ref and opt differ
+    // only by GEMM association).
+    const Tensor xc = x1 != nullptr ? concat_cols({x0, *x1}) : x0;
+    const Tensor wc = w1 != nullptr ? concat_cols({w0, *w1}) : w0;
+    std::vector<T> wt(static_cast<std::size_t>(k) * n);
+    transpose_into(wc.data<T>(), wt.data(), n, k);
+    gemm_ref(xc.data<T>(), wt.data(), pc, m, k, n);
     for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {
         T pre = pc[i * n + j];
-        if (ep != Epilogue::kNone) pre += epi.bias[j];
+        if (has_bias) pre += epi.bias[j];
         switch (ep) {
           case Epilogue::kNone:
           case Epilogue::kBias:
@@ -562,8 +648,22 @@ Tensor gemm_epilogue_typed(const Tensor& x, const Tensor& w,
         }
       }
     }
+    return out;
+  }
+  const detail::GemmEpilogue<T>* pepi =
+      ep == Epilogue::kNone ? nullptr : &epi;
+  const ARows<T> a0{x0.data<T>(), k0};
+  const BColsT<T> b0{w0.data<T>(), k0};
+  if (x1 == nullptr) {
+    gemm_opt(m, k, n, a0, b0, pc, pepi);
   } else {
-    gemm_opt_epi(x.data<T>(), wt.data(), out.data<T>(), m, k, n, epi);
+    using namespace detail;
+    gemm_opt(m, k, n,
+             ConcatK<kGemmMR, ARows<T>, ARows<T>>{
+                 a0, ARows<T>{x1->data<T>(), k1}, k0},
+             ConcatK<kGemmNR<T>, BColsT<T>, BColsT<T>>{
+                 b0, BColsT<T>{w1->data<T>(), k1}, k0},
+             pc, pepi);
   }
   return out;
 }
@@ -581,13 +681,37 @@ Tensor gemm_epilogue(const Tensor& x, const Tensor& w, const Tensor& bias,
   }
   switch (x.dtype()) {
     case DType::kF32:
-      return gemm_epilogue_typed<float>(x, w, bias, epilogue, dropout_p, seed,
-                                        mask_out);
+      return gemm_epilogue_typed<float>(x, w, nullptr, nullptr, bias,
+                                        epilogue, dropout_p, seed, mask_out);
     case DType::kF64:
-      return gemm_epilogue_typed<double>(x, w, bias, epilogue, dropout_p,
-                                         seed, mask_out);
+      return gemm_epilogue_typed<double>(x, w, nullptr, nullptr, bias,
+                                         epilogue, dropout_p, seed, mask_out);
     default:
       throw std::runtime_error("gemm_epilogue: float tensor required");
+  }
+}
+
+Tensor gemm_epilogue_cat(const Tensor& x0, const Tensor& w0, const Tensor& x1,
+                         const Tensor& w1, const Tensor& bias,
+                         Epilogue epilogue, double dropout_p,
+                         std::uint64_t seed) {
+  for (const Tensor* t : {&x0, &w0, &x1, &w1}) {
+    if (t->dim() != 2) {
+      throw std::runtime_error("gemm_epilogue_cat: operands must be 2-D");
+    }
+    if (t->dtype() != x0.dtype()) {
+      throw std::runtime_error("gemm_epilogue_cat: dtype mismatch");
+    }
+  }
+  switch (x0.dtype()) {
+    case DType::kF32:
+      return gemm_epilogue_typed<float>(x0, w0, &x1, &w1, bias, epilogue,
+                                        dropout_p, seed, nullptr);
+    case DType::kF64:
+      return gemm_epilogue_typed<double>(x0, w0, &x1, &w1, bias, epilogue,
+                                         dropout_p, seed, nullptr);
+    default:
+      throw std::runtime_error("gemm_epilogue_cat: float tensor required");
   }
 }
 
@@ -651,23 +775,17 @@ Tensor matmul_compressed(const Tensor& a, const Tensor& a_scale,
   const std::int8_t* qa = a.data<std::int8_t>();
   const float* scales = a_scale.data<float>();
   const float* zeros = a_zero.data<float>();
-  std::vector<float> b_stage;
-  const float* pb = b.data<float>();
-  if (trans_b) {
-    b_stage.resize(static_cast<std::size_t>(k) * n);
-    transpose_into(pb, b_stage.data(), b.size(0), b.size(1));
-    pb = b_stage.data();
-  }
   auto a_qrow = [qa, scales, zeros, k](std::int64_t i, std::int64_t k0,
                                        std::int64_t len, float* dst) {
     dequantize_row(qa + i * k + k0, len, scales[i], zeros[i], dst);
   };
-  auto b_f32row = [pb, n](std::int64_t p, std::int64_t j0, std::int64_t len,
-                          float* dst) {
-    std::memcpy(dst, pb + p * n + j0,
-                static_cast<std::size_t>(len) * sizeof(float));
-  };
-  gemm_opt_loaded(a_qrow, b_f32row, out.data<float>(), m, k, n);
+  const ALoaded<decltype(a_qrow)> pack_a{a_qrow};
+  float* pc = out.data<float>();
+  if (trans_b) {
+    gemm_opt(m, k, n, pack_a, BColsT<float>{b.data<float>(), k}, pc);
+  } else {
+    gemm_opt(m, k, n, pack_a, BCols<float>{b.data<float>(), n}, pc);
+  }
   return out;
 }
 

@@ -88,19 +88,37 @@ double accuracy(const Tensor& logits, const Tensor& target);
 
 // --- dropout ------------------------------------------------------------------
 
-/// Inverted-dropout mask: entries are 0 with probability p, else 1/(1-p).
-Tensor dropout_mask(const std::vector<std::int64_t>& shape, double p,
-                    std::uint64_t seed, DType dtype = DType::kF32);
-
 /// Counter-based inverted-dropout mask: entry i is 0 when
 /// dropout_keep(seed, i, dropout_drop_threshold(p)) drops it, else 1/(1-p).
-/// Unlike dropout_mask (a sequential RNG stream), each entry is a pure hash
-/// of (seed, flat index), so the mask is identical however the tensor is
-/// chunked — the property that lets the fused GEMM epilogue
-/// (tensor/epilogue.h) evaluate the same decisions tile-by-tile and agree
-/// bitwise with this standalone op.
+/// Each entry is a pure hash of (seed, flat index), so the mask is identical
+/// however the tensor is chunked — the property that lets the fused GEMM
+/// epilogue (tensor/epilogue.h) and act_dropout evaluate the same decisions
+/// element by element and agree bitwise with this standalone op.
 Tensor dropout_mask_counter(const std::vector<std::int64_t>& shape, double p,
                             std::uint64_t seed, DType dtype = DType::kF32);
+
+/// The activation act_dropout applies before its dropout.
+enum class Activation : std::uint8_t {
+  kIdentity,   ///< y = x (plain dropout)
+  kRelu,       ///< y = max(x, 0), as ops::relu
+  kLeakyRelu,  ///< y = x > 0 ? x : slope * x, as ops::leaky_relu
+};
+
+/// One elementwise pass of y = act(x) ⊙ dropout_mask_counter(x.shape(), p,
+/// seed), bitwise equal to that unfused composition (activation op, then
+/// ops::mul). When `mask_out` is non-null it is overwritten with d y/d x =
+/// act'(x) times the mask entry, the one factor the backward multiplies by.
+/// p = 0 keeps every element (the activation alone).
+Tensor act_dropout(const Tensor& x, Activation act, double slope, double p,
+                   std::uint64_t seed, Tensor* mask_out);
+
+/// Gradient through a fused ReLU (+ inverted dropout) epilogue, read off the
+/// epilogue's output y instead of a saved mask: g · keep_scale where y > 0
+/// (the element passed the ReLU and was kept), else 0. y > 0 holds exactly
+/// when pre > 0 and the element was kept, so this equals g ⊙ mask for the
+/// mask the epilogue would have written.
+Tensor relu_dropout_backward(const Tensor& g, const Tensor& y,
+                             double keep_scale);
 
 // --- sparse (CSR) neighborhood aggregation -----------------------------------
 //
@@ -195,8 +213,23 @@ Tensor matmul_compressed(const Tensor& a, const Tensor& a_scale,
 /// the unfused optimized sequence {matmul, add_row_broadcast, relu,
 /// mul(dropout_mask_counter)} under the same seed, and run-to-run
 /// deterministic across pool sizes (tests/test_kernels.cpp).
+///
+/// For kBiasRelu / kBiasReluDropout the bias may be undefined: the
+/// activation then applies to the plain product (bias-free convs).
 Tensor gemm_epilogue(const Tensor& x, const Tensor& w, const Tensor& bias,
                      Epilogue epilogue, double dropout_p, std::uint64_t seed,
                      Tensor* mask_out);
+
+/// gemm_epilogue over two operand pairs: y = epilogue(x0 @ w0^T + x1 @ w1^T)
+/// with x0 [M,K0], x1 [M,K1], w0 [N,K0], w1 [N,K1], computed as one GEMM
+/// over K = K0 + K1 whose packing reads [x0 | x1] and [w0 | w1] in place —
+/// no concatenated copy is made. This is GraphSAGE's conv (x0 the
+/// mean-aggregated neighbours, x1 the destination rows, which may be a
+/// narrow_rows view). `bias` may be undefined. No mask is written; a ReLU
+/// epilogue's backward reads it off the output (relu_dropout_backward).
+Tensor gemm_epilogue_cat(const Tensor& x0, const Tensor& w0, const Tensor& x1,
+                         const Tensor& w1, const Tensor& bias,
+                         Epilogue epilogue, double dropout_p,
+                         std::uint64_t seed);
 
 }  // namespace salient::ops

@@ -39,8 +39,7 @@ Variable FullBatchGcn::forward(const Variable& x,
   for (std::size_t i = 0; i < convs_.size(); ++i) {
     h = convs_[i]->forward(h, adj);
     if (i + 1 != convs_.size()) {
-      h = nn::relu(h);
-      h = dropout_->forward(h);
+      h = dropout_->forward(h, ops::Activation::kRelu);  // one pass
     }
   }
   return nn::log_softmax(h);

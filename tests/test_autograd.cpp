@@ -5,7 +5,9 @@
 #include "autograd/functions.h"
 #include "autograd/gradcheck.h"
 #include "autograd/variable.h"
+#include "tensor/kernel_config.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace salient {
 namespace {
@@ -46,6 +48,63 @@ TEST(Engine, ReusedVariableAsBothInputs) {
   Variable y = ag::mul(x, x);
   y.backward(Tensor::ones({5}, DType::kF64));
   EXPECT_TRUE(allclose(x.grad(), ops::scale(x.data(), 2.0), 1e-9, 1e-9));
+}
+
+TEST(Engine, SharedGradientBuffersAreNeverAccumulatedInPlace) {
+  // Add hands its grad_out on to both inputs uncopied. In
+  // z = (a + b) + a with a = 2x and b = 3x, the outer Add gives one buffer
+  // to the inner Add and to a; the inner Add then gives that same buffer
+  // to a again and to b. Accumulating a's second contribution in place
+  // would double b's gradient too: dz/dx would read 10 instead of 7.
+  Variable x = leaf({4}, 6);
+  Variable a = ag::scale(x, 2.0);
+  Variable b = ag::scale(x, 3.0);
+  Variable z = ag::add(ag::add(a, b), a);
+  const Tensor seed = Tensor::full({4}, 1.0, DType::kF64);
+  z.backward(seed);
+  EXPECT_TRUE(allclose(x.grad(), Tensor::full({4}, 7.0, DType::kF64), 0, 0));
+  EXPECT_TRUE(allclose(seed, Tensor::full({4}, 1.0, DType::kF64), 0, 0))
+      << "the caller's seed was written";
+  // A leaf's first gradient may be a buffer some other slot also holds;
+  // the leaf must own what it accumulates into.
+  Variable u = leaf({3}, 7);
+  Variable v = leaf({3}, 8);
+  ag::add(u, v).backward(Tensor::full({3}, 1.0, DType::kF64));
+  EXPECT_NE(u.grad().storage(), v.grad().storage());
+}
+
+TEST(Engine, BackwardSkipsGradientsOfInputsThatNeedNone) {
+  // MatMul and Linear compute an input's gradient only when that input
+  // needs one, so a layer over the features skips its dX GEMM. The batch
+  // is tall (K = 6,000 rows), so the weight gradient runs split-K on the
+  // 4-thread kernel pool; it must equal the standalone gᵀx bitwise.
+  struct PoolScope {
+    explicit PoolScope(ThreadPool* p) { ops::set_kernel_pool(p); }
+    ~PoolScope() { ops::set_kernel_pool(nullptr); }
+  };
+  ThreadPool pool(4);
+  const PoolScope scope(&pool);
+  const Tensor tx = Tensor::uniform({6000, 128}, 61, -1, 1);
+  const Tensor tw = Tensor::uniform({64, 128}, 62, -1, 1);
+  const Tensor g = Tensor::uniform({6000, 64}, 63, -1, 1);
+  EXPECT_GE(64 * 6000 * 128, ops::kGemmGrain);
+  const Tensor want_dw = ops::matmul(g, tx, true, false);
+  const Tensor want_dx = ops::matmul(g, tw, false, false);
+  for (const bool linear : {false, true}) {
+    for (const bool x_needs_grad : {false, true}) {
+      Variable x(tx, x_needs_grad);
+      Variable w(tw, !x_needs_grad);
+      Variable y = linear ? ag::linear(x, w, Variable())
+                          : ag::matmul(x, w, false, true);
+      const std::vector<Tensor> gins = y.grad_fn()->backward(g);
+      ASSERT_EQ(gins.size(), 2u);
+      EXPECT_EQ(gins[0].defined(), x_needs_grad) << "linear=" << linear;
+      EXPECT_EQ(gins[1].defined(), !x_needs_grad) << "linear=" << linear;
+      const Tensor& got = x_needs_grad ? gins[0] : gins[1];
+      const Tensor& want = x_needs_grad ? want_dx : want_dw;
+      EXPECT_TRUE(allclose(got, want, 0, 0)) << "linear=" << linear;
+    }
+  }
 }
 
 TEST(Engine, NoGradInputsProduceConstant) {

@@ -292,7 +292,9 @@ TEST(DegreePolicy, PinsHighestDegreeNodes) {
     min_resident = std::min(min_resident, ds.graph.degree(v));
   }
   for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
-    if (!in.count(v)) EXPECT_LE(ds.graph.degree(v), min_resident);
+    if (!in.count(v)) {
+      EXPECT_LE(ds.graph.degree(v), min_resident);
+    }
   }
 }
 

@@ -284,16 +284,65 @@ TEST(Gemm, RefVsOptWithinUlpBound) {
 
 TEST(Gemm, OptDeterministicAcrossPoolSizes) {
   KernelGuard guard;
-  const Tensor a = Tensor::uniform({130, 77}, 71, -1, 1);
-  const Tensor b = Tensor::uniform({77, 90}, 72, -1, 1);
-  ThreadPool p1(1);
-  guard.use(ops::KernelKind::kOpt, &p1);
-  const Tensor base = ops::matmul(a, b);
-  for (const std::size_t threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    guard.use(ops::KernelKind::kOpt, &pool);
-    EXPECT_TRUE(bitwise_equal(base, ops::matmul(a, b)))
-        << "GEMM result depends on pool size (" << threads << " threads)";
+  // A GEMM below ops::kGemmGrain (130x77x90) runs on the calling thread;
+  // one above it splits row panels across the pool; and the layer-0 weight
+  // gradient of the e2e train workload, dW = gᵀx with K = 25,995, takes the
+  // split-K path.
+  struct Case {
+    Tensor a, b;
+    bool trans_a;
+  };
+  const Case cases[] = {
+      {Tensor::uniform({130, 77}, 71, -1, 1),
+       Tensor::uniform({77, 90}, 72, -1, 1), false},
+      {Tensor::uniform({390, 300}, 73, -1, 1),
+       Tensor::uniform({300, 300}, 74, -1, 1), false},
+      {Tensor::uniform({25995, 64}, 75, -1, 1),
+       Tensor::uniform({25995, 128}, 76, -1, 1), true},
+  };
+  EXPECT_LT(130 * 77 * 90, ops::kGemmGrain);
+  EXPECT_GE(390 * 300 * 300, ops::kGemmGrain);
+  for (const Case& c : cases) {
+    ThreadPool p1(1);
+    guard.use(ops::KernelKind::kOpt, &p1);
+    const Tensor base = ops::matmul(c.a, c.b, c.trans_a, false);
+    for (const std::size_t threads : {2u, 8u}) {
+      ThreadPool pool(threads);
+      guard.use(ops::KernelKind::kOpt, &pool);
+      EXPECT_TRUE(
+          bitwise_equal(base, ops::matmul(c.a, c.b, c.trans_a, false)))
+          << "GEMM " << c.a.str() << " depends on pool size (" << threads
+          << " threads)";
+    }
+  }
+}
+
+TEST(Gemm, SplitKWithinUlpBoundOfReference) {
+  // Small outputs with a long K (weight-gradient shapes) accumulate fixed K
+  // chunks separately and sum them in order. Within a tight bound of the
+  // reference in both precisions, including a K long enough that the
+  // chunk count is capped and the chunks grow.
+  KernelGuard guard;
+  ThreadPool pool(4);
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  for (const Shape sh : {Shape{64, 5000, 128}, Shape{7, 70001, 9}}) {
+    for (const DType dt : {DType::kF32, DType::kF64}) {
+      const Tensor g = Tensor::uniform({sh.k, sh.m}, 141, -1, 1, dt);
+      const Tensor x = Tensor::uniform({sh.k, sh.n}, 142, -1, 1, dt);
+      guard.use(ops::KernelKind::kRef);
+      const Tensor ref = ops::matmul(g, x, true, false);
+      guard.use(ops::KernelKind::kOpt, &pool);
+      const Tensor opt = ops::matmul(g, x, true, false);
+      // Sums of K products in [-1,1] reach ~sqrt(K) in magnitude; the bound
+      // scales with K like the rounding error of any summation order.
+      const double eps = dt == DType::kF32 ? 1.2e-7 : 2.3e-16;
+      const double tol = 4 * eps * std::sqrt(double(sh.k)) * 8;
+      EXPECT_TRUE(allclose(ref, opt, tol, tol))
+          << sh.m << "x" << sh.k << "x" << sh.n << " dtype "
+          << static_cast<int>(dt);
+    }
   }
 }
 
@@ -433,23 +482,126 @@ TEST(FusedEpilogue, RefVsOptWithinUlpBound) {
 }
 
 TEST(FusedEpilogue, DeterministicAcrossPoolSizes) {
-  const Tensor x = Tensor::uniform({257, 33}, 121, -1, 1);
-  const Tensor w = Tensor::uniform({65, 33}, 122, -1, 1);
-  const Tensor bias = Tensor::uniform({65}, 123, -1, 1);
+  // One shape below ops::kGemmGrain (serial at every pool size) and one
+  // above it (row panels split across the pool).
+  for (const std::int64_t rows : {257, 2200}) {
+    const std::int64_t k = rows == 257 ? 33 : 160;
+    const std::int64_t n = rows == 257 ? 65 : 100;
+    const Tensor x = Tensor::uniform({rows, k}, 121, -1, 1);
+    const Tensor w = Tensor::uniform({n, k}, 122, -1, 1);
+    const Tensor bias = Tensor::uniform({n}, 123, -1, 1);
+    EXPECT_EQ(rows * k * n >= ops::kGemmGrain, rows == 2200);
+    KernelGuard guard;
+    ThreadPool p1(1);
+    guard.use(ops::KernelKind::kOpt, &p1);
+    Tensor mask1;
+    const Tensor base = ops::gemm_epilogue(
+        x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask1);
+    for (const std::size_t threads : {4u, 8u}) {
+      ThreadPool pool(threads);
+      guard.use(ops::KernelKind::kOpt, &pool);
+      Tensor mask;
+      const Tensor got = ops::gemm_epilogue(
+          x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask);
+      EXPECT_TRUE(bitwise_equal(base, got)) << rows << " rows, " << threads
+                                            << " threads";
+      EXPECT_TRUE(bitwise_equal(mask1, mask)) << rows << " rows, "
+                                              << threads << " threads";
+    }
+  }
+}
+
+TEST(FusedEpilogue, ConcatKBitwiseMatchesMaterializedConcat) {
+  // gemm_epilogue_cat packs [x0 | x1] and [w0 | w1] in place; the product
+  // must be bitwise the one-operand GEMM over the materialized concatenation
+  // (same packed values, same k blocks), for every kind, with and without a
+  // bias, on both kernels and every pool size. x1 is a narrow_rows view, as
+  // GraphSAGE's destination rows are.
+  const Tensor x0 = Tensor::uniform({301, 70}, 151, -1, 1);
+  const Tensor x1_full = Tensor::uniform({340, 70}, 152, -1, 1);
+  const Tensor x1 = x1_full.narrow_rows(0, 301);
+  const Tensor w0 = Tensor::uniform({45, 70}, 153, -1, 1);
+  const Tensor w1 = Tensor::uniform({45, 70}, 154, -1, 1);
+  const Tensor bias = Tensor::uniform({45}, 155, -1, 1);
+  const Tensor xcat = ops::concat_cols({x0, x1});
+  const Tensor wcat = ops::concat_cols({w0, w1});
   KernelGuard guard;
-  ThreadPool p1(1);
-  guard.use(ops::KernelKind::kOpt, &p1);
-  Tensor mask1;
-  const Tensor base = ops::gemm_epilogue(
-      x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask1);
-  for (const std::size_t threads : {4u, 8u}) {
-    ThreadPool pool(threads);
-    guard.use(ops::KernelKind::kOpt, &pool);
+  for (const ops::Epilogue kind :
+       {ops::Epilogue::kNone, ops::Epilogue::kBias, ops::Epilogue::kBiasRelu,
+        ops::Epilogue::kBiasReluDropout}) {
+    for (const bool with_bias : {false, true}) {
+      if (kind == ops::Epilogue::kBias && !with_bias) continue;
+      const Tensor b = with_bias ? bias : Tensor();
+      for (const ops::KernelKind kk :
+           {ops::KernelKind::kRef, ops::KernelKind::kOpt}) {
+        for (const std::size_t threads : {1u, 4u, 8u}) {
+          ThreadPool pool(threads);
+          guard.use(kk, &pool);
+          const Tensor want =
+              ops::gemm_epilogue(xcat, wcat, b, kind, 0.3, 0xc0, nullptr);
+          const Tensor got =
+              ops::gemm_epilogue_cat(x0, w0, x1, w1, b, kind, 0.3, 0xc0);
+          EXPECT_TRUE(bitwise_equal(want, got))
+              << "kind=" << static_cast<int>(kind) << " bias=" << with_bias
+              << " kernel=" << static_cast<int>(kk) << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedEpilogue, ReluDropoutBackwardFromOutputEqualsSavedMask) {
+  // The fused SAGE conv writes no mask: its backward reads d y/d pre off the
+  // output. That must equal g ⊙ mask for the mask gemm_epilogue saves (up
+  // to the sign of zero, which allclose(0, 0) ignores).
+  const Tensor x = Tensor::uniform({200, 40}, 161, -1, 1);
+  const Tensor w = Tensor::uniform({30, 40}, 162, -1, 1);
+  const Tensor g = Tensor::uniform({200, 30}, 163, -1, 1);
+  for (const double p : {0.0, 0.4}) {
     Tensor mask;
-    const Tensor got = ops::gemm_epilogue(
-        x, w, bias, ops::Epilogue::kBiasReluDropout, 0.5, 0xfeed, &mask);
-    EXPECT_TRUE(bitwise_equal(base, got)) << threads << " threads";
-    EXPECT_TRUE(bitwise_equal(mask1, mask)) << threads << " threads";
+    const Tensor y = ops::gemm_epilogue(
+        x, w, Tensor(),
+        p > 0 ? ops::Epilogue::kBiasReluDropout : ops::Epilogue::kBiasRelu, p,
+        0x5a, &mask);
+    EXPECT_TRUE(allclose(ops::mul(g, mask),
+                         ops::relu_dropout_backward(g, y, 1.0 / (1.0 - p)),
+                         0, 0))
+        << "p=" << p;
+  }
+}
+
+TEST(ActDropout, BitwiseMatchesActivationThenCounterMask) {
+  // The one-pass tail GAT (ReLU) and GraphSAGE-RI (leaky ReLU, and plain
+  // input dropout) run must equal the activation op followed by
+  // mul(dropout_mask_counter), and p = 0 must equal the activation alone.
+  ThreadPool pool(4);
+  KernelGuard guard;
+  for (const DType dt : {DType::kF32, DType::kF64}) {
+    const Tensor x = Tensor::uniform({kRows, kCols}, 171, -1, 1, dt);
+    for (const ops::Activation act :
+         {ops::Activation::kIdentity, ops::Activation::kRelu,
+          ops::Activation::kLeakyRelu}) {
+      const Tensor a = act == ops::Activation::kRelu ? ops::relu(x)
+                       : act == ops::Activation::kLeakyRelu
+                           ? ops::leaky_relu(x, 0.01)
+                           : x;
+      for (const double p : {0.0, 0.1, 0.5}) {
+        const Tensor want =
+            p == 0.0 ? a
+                     : ops::mul(a, ops::dropout_mask_counter(x.shape(), p,
+                                                             0xab, dt));
+        for (const ops::KernelKind kk :
+             {ops::KernelKind::kRef, ops::KernelKind::kOpt}) {
+          guard.use(kk, &pool);
+          Tensor mask;
+          const Tensor got = ops::act_dropout(x, act, 0.01, p, 0xab, &mask);
+          EXPECT_TRUE(bitwise_equal(want, got))
+              << "act=" << static_cast<int>(act) << " p=" << p
+              << " dtype=" << static_cast<int>(dt);
+          ASSERT_EQ(mask.shape(), x.shape());
+        }
+      }
+    }
   }
 }
 

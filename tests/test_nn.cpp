@@ -17,7 +17,10 @@
 #include "nn/sage_conv.h"
 #include "sampling/fast_sampler.h"
 #include "graph/generator.h"
+#include "tensor/kernel_config.h"
 #include "tensor/ops.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace salient {
 namespace {
@@ -141,6 +144,132 @@ TEST(Gradcheck, SageConvEndToEnd) {
       fn, {Variable(Tensor::uniform({4, 3}, 1, -1, 1, DType::kF64), true),
            Variable(Tensor::uniform({2, 3}, 2, -1, 1, DType::kF64), true),
            Variable(Tensor::uniform({2, 3}, 3, -1, 1, DType::kF64), true)});
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
+/// A random MFG level with ragged in-degrees (some empty rows).
+MfgLevel random_level(std::int64_t num_src, std::int64_t num_dst,
+                      std::uint64_t seed) {
+  std::vector<std::int64_t> indptr{0}, indices;
+  Xoshiro256ss rng(seed);
+  for (std::int64_t d = 0; d < num_dst; ++d) {
+    const auto deg = static_cast<std::int64_t>(bounded_rand(rng, 7));
+    for (std::int64_t k = 0; k < deg; ++k) {
+      indices.push_back(static_cast<std::int64_t>(
+          bounded_rand(rng, static_cast<std::uint64_t>(num_src))));
+    }
+    indptr.push_back(static_cast<std::int64_t>(indices.size()));
+  }
+  MfgLevel level;
+  level.num_src = num_src;
+  level.num_dst = num_dst;
+  level.indptr = std::make_shared<std::vector<std::int64_t>>(indptr);
+  level.indices = std::make_shared<std::vector<std::int64_t>>(indices);
+  return level;
+}
+
+/// The unfused composition the fused conv replaced: spmm_mean, two Linears
+/// and an Add, then ReLU and a multiply by the same counter mask.
+Variable unfused_sage_conv(const MfgLevel& level, const Variable& x,
+                           const Variable& wl, const Variable& wr, bool relu,
+                           double p, bool training, std::uint64_t seed) {
+  Variable agg = ag::spmm_mean(level.indptr, level.indices, x, level.num_dst);
+  Variable root = ag::narrow_rows(x, 0, level.num_dst);
+  Variable y = ag::add(ag::linear(agg, wl, Variable()),
+                       ag::linear(root, wr, Variable()));
+  if (!relu) return y;
+  y = ag::relu(y);
+  if (!training || p == 0.0) return y;
+  return ag::mul(y, Variable(ops::dropout_mask_counter(
+                        y.data().shape(), p, seed, y.data().dtype())));
+}
+
+TEST(SageConv, FusedNodeWithinUlpBoundOfUnfusedComposition) {
+  // Forward and every gradient, f32 and f64, train and eval, with and
+  // without x needing a gradient, with and without the ReLU/dropout tail.
+  // The large level runs on a 4-thread kernel pool: its conv GEMM, its dx
+  // GEMMs and its weight gradients (split-K) clear ops::kGemmGrain, so pool
+  // workers write them. It runs without the tail, because among its 288k
+  // outputs a pre-activation within rounding of 0 could take the ReLU gate
+  // differently in the two compositions.
+  struct Shape {
+    std::int64_t src, dst, in, out;
+  };
+  struct PoolScope {
+    explicit PoolScope(ThreadPool* p) { ops::set_kernel_pool(p); }
+    ~PoolScope() { ops::set_kernel_pool(nullptr); }
+  };
+  ThreadPool pool(4);
+  for (const Shape sh :
+       {Shape{300, 170, 24, 20}, Shape{6000, 4500, 128, 64}}) {
+    const bool large = sh.src > 1000;
+    EXPECT_EQ(sh.out * sh.dst * sh.in >= ops::kGemmGrain, large);
+    const MfgLevel level = random_level(sh.src, sh.dst, 41);
+    const PoolScope scope(large ? &pool : nullptr);
+    for (const DType dt : {DType::kF32, DType::kF64}) {
+      const double tol = dt == DType::kF32 ? 2e-5 : 1e-12;
+      for (const bool training : {true, false}) {
+        for (const bool x_grad : {true, false}) {
+          for (const bool relu : {true, false}) {
+            if (large && relu) continue;
+            auto leaf = [&](std::vector<std::int64_t> shape,
+                            std::uint64_t sd, bool grad) {
+              return Variable(
+                  Tensor::uniform(std::move(shape), sd, -1, 1, dt), grad);
+            };
+            Variable x = leaf({sh.src, sh.in}, 42, x_grad);
+            Variable wl = leaf({sh.out, sh.in}, 43, true);
+            Variable wr = leaf({sh.out, sh.in}, 44, true);
+            const Tensor seed_grad =
+                Tensor::uniform({sh.dst, sh.out}, 45, -1, 1, dt);
+            const double p = 0.3;
+            const std::uint64_t seed = 0x5a6e;
+
+            Variable fused = ag::sage_conv(level.indptr, level.indices, x,
+                                           level.num_dst, wl, wr, Variable(),
+                                           relu, p, training, seed);
+            fused.backward(seed_grad);
+            const Tensor f_dx = x_grad ? x.grad() : Tensor();
+            const Tensor f_dwl = wl.grad(), f_dwr = wr.grad();
+            for (Variable* v : {&x, &wl, &wr}) v->zero_grad();
+
+            Variable ref =
+                unfused_sage_conv(level, x, wl, wr, relu, p, training, seed);
+            ref.backward(seed_grad);
+            const std::string what =
+                std::string("src=") + std::to_string(sh.src) +
+                " dtype=" + (dt == DType::kF32 ? "f32" : "f64") +
+                " training=" + std::to_string(training) +
+                " x_grad=" + std::to_string(x_grad) +
+                " relu=" + std::to_string(relu);
+            EXPECT_TRUE(allclose(fused.data(), ref.data(), tol, tol)) << what;
+            EXPECT_TRUE(allclose(f_dwl, wl.grad(), tol, tol)) << what;
+            EXPECT_TRUE(allclose(f_dwr, wr.grad(), tol, tol)) << what;
+            if (x_grad) {
+              EXPECT_TRUE(allclose(f_dx, x.grad(), tol, tol)) << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gradcheck, FusedSageConvNode) {
+  // f64 gradcheck of the fused node with its full tail (ReLU + dropout in
+  // training), every input needing a gradient.
+  MfgLevel level = tiny_level();
+  auto fn = [&level](const std::vector<Variable>& in) {
+    Variable y = ag::sage_conv(level.indptr, level.indices, in[0], 2, in[1],
+                               in[2], Variable(), /*relu=*/true, 0.25,
+                               /*training=*/true, 0x77);
+    return ag::nll_loss(ag::log_softmax(y),
+                        Tensor::from_vector<std::int64_t>({0, 1}, {2}));
+  };
+  auto r = ag::gradcheck(
+      fn, {Variable(Tensor::uniform({4, 3}, 1, -1, 1, DType::kF64), true),
+           Variable(Tensor::uniform({5, 3}, 2, -1, 1, DType::kF64), true),
+           Variable(Tensor::uniform({5, 3}, 3, -1, 1, DType::kF64), true)});
   EXPECT_TRUE(r.ok) << r.message;
 }
 

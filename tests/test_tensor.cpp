@@ -222,14 +222,14 @@ TEST(Ops, ArgmaxAndAccuracy) {
 
 TEST(Ops, DropoutMaskStatistics) {
   const double p = 0.3;
-  Tensor m = ops::dropout_mask({10000}, p, 77);
+  Tensor m = ops::dropout_mask_counter({10000}, p, 77);
   std::int64_t zeros = 0;
   for (float v : m.span<float>()) {
     ASSERT_TRUE(v == 0.0f || std::abs(v - 1.0f / 0.7f) < 1e-5);
     zeros += (v == 0.0f);
   }
   EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, p, 0.02);
-  EXPECT_THROW(ops::dropout_mask({4}, 1.0, 1), std::invalid_argument);
+  EXPECT_THROW(ops::dropout_mask_counter({4}, 1.0, 1), std::invalid_argument);
 }
 
 // --- matmul ---------------------------------------------------------------------

@@ -7,14 +7,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <string_view>
 
 #include "graph/dataset.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "nn/models.h"
+#include "optim/adam.h"
+#include "tensor/kernel_config.h"
 #include "train/inference.h"
 #include "train/trainer.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace salient {
 namespace {
@@ -113,6 +119,84 @@ TEST(Trainer, PipelinedMatchesBlockingExactly) {
         EXPECT_EQ(r.infer.num_batches, ref.infer.num_batches);
         EXPECT_EQ(r.infer.transfer_bytes, ref.infer.transfer_bytes);
       }
+    }
+  }
+}
+
+TEST(TrainStep, BitwiseEqualAcrossKernelPools) {
+  // One train_step of a 3-layer GraphSAGE at kernel pools of 1, 4 and 8
+  // threads. Layer 0 maps 6,000 rows to 4,500 at 128 features: its fused
+  // conv GEMM (4,500 x 256 x 64) clears ops::kGemmGrain, so it splits row
+  // panels across the pool, and so do its weight gradients (64 x 4,500 x
+  // 128 each), which take the split-K path over several K chunks. Loss,
+  // every gradient and every updated parameter must be bitwise equal.
+  const std::int64_t sizes[] = {6000, 4500, 1500, 512};
+  const std::int64_t fanout = 6;
+  Mfg mfg;
+  Xoshiro256ss rng(71);
+  for (int l = 0; l < 3; ++l) {
+    std::vector<std::int64_t> indptr{0}, indices;
+    for (std::int64_t d = 0; d < sizes[l + 1]; ++d) {
+      for (std::int64_t k = 0; k < fanout; ++k) {
+        indices.push_back(static_cast<std::int64_t>(
+            bounded_rand(rng, static_cast<std::uint64_t>(sizes[l]))));
+      }
+      indptr.push_back(static_cast<std::int64_t>(indices.size()));
+    }
+    MfgLevel level;
+    level.num_src = sizes[l];
+    level.num_dst = sizes[l + 1];
+    level.indptr = std::make_shared<std::vector<std::int64_t>>(indptr);
+    level.indices = std::make_shared<std::vector<std::int64_t>>(indices);
+    mfg.levels.push_back(level);
+  }
+  mfg.n_ids.resize(static_cast<std::size_t>(sizes[0]));
+  std::iota(mfg.n_ids.begin(), mfg.n_ids.end(), NodeId{0});
+  mfg.batch_size = sizes[3];
+  ASSERT_TRUE(mfg.valid());
+  const std::int64_t in = 128, hidden = 64, classes = 16;
+  ASSERT_GE(hidden * sizes[1] * in, ops::kGemmGrain);
+  const Tensor x = Tensor::uniform({sizes[0], in}, 72, -1, 1);
+  std::vector<std::int64_t> labels;
+  for (std::int64_t i = 0; i < sizes[3]; ++i) {
+    labels.push_back(static_cast<std::int64_t>(bounded_rand(rng, classes)));
+  }
+  const Tensor y = Tensor::from_vector(labels);
+
+  struct Result {
+    double loss = 0;
+    std::vector<Tensor> grads, params;
+  };
+  auto run = [&](std::size_t threads) {
+    ThreadPool pool(threads);
+    ops::set_kernel_pool(&pool);
+    auto model = nn::make_model("sage", nn::ModelConfig{in, hidden, classes,
+                                                         3, 5});
+    optim::Adam opt(model->parameters(), 1e-2);
+    Result r;
+    r.loss = train_step(*model, opt, x, mfg, y);
+    for (const Variable& p : model->parameters()) {
+      r.grads.push_back(p.grad().clone());
+      r.params.push_back(p.data().clone());
+    }
+    ops::set_kernel_pool(nullptr);
+    return r;
+  };
+  auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.raw(), b.raw(), a.nbytes()) == 0;
+  };
+  const Result base = run(1);
+  for (const std::size_t threads : {4u, 8u}) {
+    const Result r = run(threads);
+    EXPECT_EQ(std::memcmp(&base.loss, &r.loss, sizeof(double)), 0)
+        << threads << " threads: loss " << base.loss << " vs " << r.loss;
+    ASSERT_EQ(base.grads.size(), r.grads.size());
+    for (std::size_t i = 0; i < base.grads.size(); ++i) {
+      EXPECT_TRUE(same(base.grads[i], r.grads[i]))
+          << threads << " threads: gradient " << i;
+      EXPECT_TRUE(same(base.params[i], r.params[i]))
+          << threads << " threads: parameter " << i;
     }
   }
 }

@@ -167,6 +167,39 @@ std::vector<Entry> build_entries() {
                                           nullptr));
                 }});
 
+  // The layer-0 weight gradient of the e2e train workload, dW = gᵀx with
+  // K = 25,995 rows: Aᵀ is packed straight from g and K is split into
+  // fixed chunks across the pool.
+  static const Tensor wg = Tensor::uniform({25995, 64}, 19, -1, 1);
+  static const Tensor wx = Tensor::uniform({25995, 128}, 20, -1, 1);
+  es.push_back({"gemm_f32_tA_64x25995x128",
+                [] { sink(ops::matmul(wg, wx, true, false)); }});
+
+  // A GraphSAGE conv with its ReLU/dropout tail on the SpMM entries' MFG
+  // level, 128 -> 64 features: the unfused composition (two Linears, add,
+  // ReLU, counter mask) against the fused one (one GEMM over K = 256 with
+  // the tail in its store).
+  static const Csr sage_csr = make_csr(8192, 24576, 15, 7);
+  static const Tensor swl = Tensor::uniform({64, 128}, 21, -1, 1);
+  static const Tensor swr = Tensor::uniform({64, 128}, 22, -1, 1);
+  es.push_back({"sage_unfused_8kx24k_f128x64", [] {
+                  Tensor agg = ops::spmm_mean(sage_csr.indptr,
+                                              sage_csr.indices, sx, 8192);
+                  Tensor h = ops::add(
+                      ops::matmul(agg, swl, false, true),
+                      ops::matmul(sx.narrow_rows(0, 8192), swr, false, true));
+                  h = ops::relu(h);
+                  sink(ops::mul(
+                      h, ops::dropout_mask_counter(h.shape(), 0.5, 23)));
+                }});
+  es.push_back({"sage_fused_8kx24k_f128x64", [] {
+                  Tensor agg = ops::spmm_mean(sage_csr.indptr,
+                                              sage_csr.indices, sx, 8192);
+                  sink(ops::gemm_epilogue_cat(
+                      agg, swl, sx.narrow_rows(0, 8192), swr, Tensor(),
+                      ops::Epilogue::kBiasReluDropout, 0.5, 23));
+                }});
+
   // Compressed-feature GEMM: an f16 activation matrix against f32 weights.
   // The optimized kernel decompresses rows inside its packing stage; the
   // reference materializes the f32 matrix first, so the speedup ratio
