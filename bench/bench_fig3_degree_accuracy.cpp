@@ -88,8 +88,12 @@ int main() {
     if (count[static_cast<std::size_t>(b)] == 0) continue;
     std::vector<std::string> row;
     const std::int64_t lo = b == 0 ? 0 : (1LL << b);
-    row.push_back("[" + std::to_string(lo) + "," +
-                  std::to_string((2LL << b) - 1) + "]");
+    std::string range = "[";
+    range += std::to_string(lo);
+    range += ',';
+    range += std::to_string((2LL << b) - 1);
+    range += ']';
+    row.push_back(std::move(range));
     row.push_back(std::to_string(count[static_cast<std::size_t>(b)]));
     for (std::size_t s = 0; s < series.size(); ++s) {
       row.push_back(fmt(

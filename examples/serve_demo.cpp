@@ -20,6 +20,7 @@
 
 #include "core/system.h"
 #include "serve/server.h"
+#include "tensor/quantize.h"
 
 int main(int argc, char** argv) {
   using namespace salient;
@@ -71,11 +72,16 @@ int main(int argc, char** argv) {
     sc.cache_policy = parse_cache_policy(cache_policy);
     sc.cache_percentage = cache_pct;
   } else if (cache_mb > 0) {
+    // Rows stay in the wire dtype (f16 here): 2F bytes each.
     const auto cache_nodes = std::min<std::int64_t>(
-        static_cast<std::int64_t>(cache_mb * 1e6 /
-                                  (static_cast<double>(ds.feature_dim) * 4.0)),
+        static_cast<std::int64_t>(
+            cache_mb * 1e6 /
+            static_cast<double>(
+                ops::wire_row_bytes(sc.feature_dtype, ds.feature_dim))),
         ds.graph.num_nodes());
-    sc.feature_cache = std::make_shared<const FeatureCache>(ds, cache_nodes);
+    sc.feature_cache = std::make_shared<const FeatureCache>(
+        ds, cache_nodes, CachePolicyConfig{},
+        make_wire_store(ds.features, sc.feature_dtype)->rows);
     std::cout << "feature cache: " << cache_nodes << " hottest nodes ("
               << cache_mb << " MB)\n";
   }

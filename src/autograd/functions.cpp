@@ -48,6 +48,12 @@ Tensor slice_cols(const Tensor& x, std::int64_t col, std::int64_t w) {
 
 }  // namespace
 
+Variable to_compute(const Variable& x) {
+  const DType dt = x.data().dtype();
+  if (dt != DType::kF16 && dt != DType::kInt8Q) return x;
+  return Variable(x.data().to(DType::kF32));
+}
+
 // Add and Sub hand grad_out on uncopied: the engine takes a gradient it
 // shares with another slot without ever accumulating into it in place
 // (autograd/engine.h).

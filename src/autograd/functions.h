@@ -16,6 +16,15 @@
 
 namespace salient::autograd {
 
+/// x in compute precision: wire rows (kF16, or kInt8Q carrying its row
+/// parameters) converted once with Tensor::to(kF32), anything else as it
+/// is. For the first ops of a model that cannot read wire rows where they
+/// load them — GIN's root term, GraphSAGE-RI's input dropout and the
+/// max/pool aggregators; the aggregations, the fused GraphSAGE conv and
+/// Linear read them directly. Wire rows are model inputs and carry no
+/// gradient.
+Variable to_compute(const Variable& x);
+
 /// a + b (same shape).
 Variable add(const Variable& a, const Variable& b);
 /// a - b.
@@ -74,6 +83,10 @@ Variable spmm_mean(std::shared_ptr<const std::vector<std::int64_t>> indptr,
                    const Variable& x, std::int64_t num_dst);
 /// GraphSAGE's mean conv as one node (nn::SageConv, mean aggregator):
 ///   y = tail(spmm_mean(x) · w_lᵀ + x[:num_dst] · w_rᵀ (+ bias))
+/// x may hold wire rows (the first layer's input): the aggregation
+/// dequantizes each neighbour row as it accumulates, and the GEMM and the
+/// w_r gradient convert x[:num_dst] as they pack it, so every result is
+/// bitwise equal to converting x first.
 /// where tail is ReLU followed, when training and dropout_p > 0, by inverted
 /// dropout with counter-based decisions from `seed`; without `relu` there
 /// is no tail. The two Linears run as one GEMM over K = 2F whose packing

@@ -4,81 +4,73 @@
 #include <stdexcept>
 
 #include "tensor/kernel_config.h"
-#include "tensor/quantize.h"
-#include "util/half.h"
 
 namespace salient {
 
 namespace {
 
-/// Convert `n` wire rows of `rows`, starting at `first`, to f32 at `dst`:
-/// f16 bulk up-conversion, a plain copy for f32, or per-row int8 affine
-/// dequantization with the scale/zero sidecars that rode the same DMA.
-void convert_rows(const Tensor& rows, const Tensor& scale, const Tensor& zero,
-                  std::int64_t first, std::int64_t n, float* dst) {
-  const std::int64_t f = rows.size(1);
-  switch (rows.dtype()) {
-    case DType::kF16:
-      half_to_float_n(rows.data<Half>() + first * f, dst,
-                      static_cast<std::size_t>(n * f));
-      break;
-    case DType::kF32:
-      std::memcpy(dst, rows.data<float>() + first * f,
-                  static_cast<std::size_t>(n * f) * sizeof(float));
-      break;
-    case DType::kInt8Q: {
-      const std::int8_t* q = rows.data<std::int8_t>();
-      const float* ps = scale.data<float>();
-      const float* pz = zero.data<float>();
-      for (std::int64_t i = first; i < first + n; ++i) {
-        ops::dequantize_row(q + i * f, f, ps[i], pz[i], dst);
-        dst += f;
-      }
-      break;
-    }
-    default:
-      break;  // rejected by assemble_features
-  }
+bool is_feature_dtype(DType dt) {
+  return dt == DType::kF16 || dt == DType::kF32 || dt == DType::kInt8Q;
 }
+
+/// A wire-rows tensor's raw bytes and, for i8q, its row scale/zero.
+struct RowSource {
+  explicit RowSource(const Tensor& t)
+      : bytes(static_cast<const char*>(t.raw())),
+        scale(t.has_row_params() ? t.row_scale().data<float>() : nullptr),
+        zero(t.has_row_params() ? t.row_zero().data<float>() : nullptr) {}
+  const char* bytes;
+  const float* scale;
+  const float* zero;
+};
 
 }  // namespace
 
-void assemble_features(const Tensor& rows, const Tensor& scale,
-                       const Tensor& zero, const CachePlan* plan,
+void assemble_features(const Tensor& rows, const CachePlan& plan,
                        const Tensor& cache_rows, Tensor& out) {
-  const DType wire = rows.dtype();
-  if (wire != DType::kF16 && wire != DType::kF32 && wire != DType::kInt8Q) {
-    throw std::invalid_argument("assemble_features: unsupported wire dtype");
-  }
-  if (wire == DType::kInt8Q && (!scale.defined() || !zero.defined())) {
-    throw std::invalid_argument(
-        "assemble_features: i8q rows need scale/zero sidecars");
-  }
-  float* dst = out.data<float>();
-  const std::int64_t n = out.size(0);
-  const std::int64_t f = out.size(1);
   // Hit rows come from the plan's snapshot (dynamic policies) or the cache's
   // immutable resident matrix (static policies).
-  const Tensor& hits =
-      plan != nullptr && plan->hit_rows.defined() ? plan->hit_rows : cache_rows;
+  const Tensor& hits = plan.hit_rows.defined() ? plan.hit_rows : cache_rows;
+  const DType dt = out.dtype();
+  const std::int64_t n = out.size(0);
+  const std::int64_t f = out.size(1);
+  auto matches = [&](const Tensor& t) {
+    return t.dtype() == dt && t.dim() == 2 && t.size(1) == f &&
+           (dt != DType::kInt8Q || t.has_row_params());
+  };
+  if (!is_feature_dtype(dt) || !matches(out) || !matches(rows) ||
+      (plan.num_missing < n && !matches(hits))) {
+    throw std::invalid_argument(
+        "assemble_features: rows, hits and out must share one f16/f32/i8q "
+        "dtype and width (i8q with its row scale/zero)");
+  }
+  if (static_cast<std::int64_t>(plan.from_cache.size()) != n) {
+    throw std::invalid_argument("assemble_features: plan size mismatch");
+  }
+  const std::size_t row_bytes = static_cast<std::size_t>(f) * dtype_size(dt);
+  const RowSource from_rows(rows);
+  const RowSource from_hits(plan.num_missing < n ? hits : rows);
+  char* dst = static_cast<char*>(out.raw());
+  float* dst_scale = dt == DType::kInt8Q ? out.row_scale().data<float>()
+                                         : nullptr;
+  float* dst_zero = dt == DType::kInt8Q ? out.row_zero().data<float>()
+                                        : nullptr;
   // Above the memory-bound grain the rows split across the kernel pool;
   // each row is still written by one thread from the same source, so the
   // result is bitwise independent of the split.
   ops::parallel_for_n(
       n, n * f,
       [&](std::int64_t begin, std::int64_t end) {
-        if (plan == nullptr) {
-          convert_rows(rows, scale, zero, begin, end - begin, dst + begin * f);
-          return;
-        }
         for (std::int64_t i = begin; i < end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          float* row = dst + i * f;
-          if (plan->from_cache[k]) {
-            std::memcpy(row, hits.data<float>() + plan->source[k] * f,
-                        static_cast<std::size_t>(f) * sizeof(float));
-          } else {
-            convert_rows(rows, scale, zero, plan->source[k], 1, row);
+          const RowSource& src = plan.from_cache[k] ? from_hits : from_rows;
+          const std::int64_t r = plan.source[k];
+          std::memcpy(dst + static_cast<std::size_t>(i) * row_bytes,
+                      src.bytes + static_cast<std::size_t>(r) * row_bytes,
+                      row_bytes);
+          if (dst_scale != nullptr) {
+            dst_scale[i] = src.scale[r];
+            dst_zero[i] = src.zero[r];
           }
         }
       },
@@ -106,6 +98,12 @@ DeviceBatch DeviceSim::transfer_batch_cached(const PreparedBatch& batch,
   }
   if (plan.from_cache.size() != batch.mfg.n_ids.size()) {
     throw std::invalid_argument("transfer_batch_cached: plan size mismatch");
+  }
+  if (plan.num_missing < static_cast<std::int64_t>(plan.from_cache.size()) &&
+      cache.dtype() != batch.x.dtype()) {
+    throw std::invalid_argument(
+        "transfer_batch_cached: the cache holds rows of another dtype than "
+        "the batch's wire rows");
   }
   // Copy the plan: the caller's plan may die before the stream runs. For
   // dynamic policies this also keeps the hit-row snapshot alive, so later
@@ -161,12 +159,14 @@ DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
   }, "h2d.labels");
 
   // Features: DMA the wire-format rows (every input row, or only the plan's
-  // missing rows; f16 / f32 / per-row int8 plus its scale/zero sidecars).
+  // missing rows; f16 / f32 / per-row int8 plus its scale/zero sidecars,
+  // which the device rows then carry).
   Tensor x_dev = pool_.acquire(batch.x.shape(), batch.x.dtype());
   Tensor scale_dev, zero_dev;
   if (batch.x_scale.defined()) {
     scale_dev = pool_.acquire(batch.x_scale.shape(), batch.x_scale.dtype());
     zero_dev = pool_.acquire(batch.x_zero.shape(), batch.x_zero.dtype());
+    x_dev = x_dev.with_row_params(scale_dev, zero_dev);
   }
   const Tensor x_host = batch.x;
   const Tensor scale_host = batch.x_scale;
@@ -182,21 +182,26 @@ DeviceBatch DeviceSim::transfer(const PreparedBatch& batch,
     }
   }, "h2d.features");
 
-  // The compute stream waits for the copies, then assembles the f32 compute
-  // copy ("GPU training computations are still done in single precision",
-  // §3): cached rows are device-to-device gathers (no PCIe), the rest are
-  // converted from the transferred wire rows.
+  // The compute stream waits for the copies. Without a cache the DMA'd rows
+  // are the model's input; with one, cached rows are device-to-device
+  // gathers (no PCIe) and the rest come from the transferred rows, all in
+  // the wire dtype — the model's first layer converts as it loads them.
   compute_.wait(copy_.record());
-  const std::int64_t num_rows =
-      plan ? static_cast<std::int64_t>(plan->from_cache.size())
-           : batch.x.size(0);
-  out.x_f32 = pool_.acquire({num_rows, batch.x.size(1)}, DType::kF32);
-  Tensor x_f32_dev = out.x_f32;
-  compute_.enqueue([x_dev, scale_dev, zero_dev, plan, cache_rows,
-                    x_f32_dev]() mutable {
-    assemble_features(x_dev, scale_dev, zero_dev, plan.get(), cache_rows,
-                      x_f32_dev);
-  }, "dev.assemble_features");
+  if (!plan) {
+    out.x_f32 = std::move(x_dev);
+  } else {
+    const auto num_rows = static_cast<std::int64_t>(plan->from_cache.size());
+    out.x_f32 = pool_.acquire({num_rows, batch.x.size(1)}, batch.x.dtype());
+    if (batch.x_scale.defined()) {
+      out.x_f32 = out.x_f32.with_row_params(
+          pool_.acquire({num_rows}, DType::kF32),
+          pool_.acquire({num_rows}, DType::kF32));
+    }
+    Tensor x_in = out.x_f32;
+    compute_.enqueue([x_dev, plan, cache_rows, x_in]() mutable {
+      assemble_features(x_dev, *plan, cache_rows, x_in);
+    }, "dev.assemble_features");
+  }
   if (ready != nullptr) {
     *ready = compute_.record();
   }

@@ -30,35 +30,36 @@ struct DeviceConfig {
   bool validate_sparse_after_transfer = false;
 };
 
-/// A mini-batch resident on the device: adjacency arrays, single-precision
-/// features (assembled from the transferred wire rows and any cache hits on
-/// the compute stream), and labels. Every array lives in a buffer of the
+/// A mini-batch resident on the device: adjacency arrays, the input feature
+/// rows in the wire dtype, and labels. Every array lives in a buffer of the
 /// device's pool, which it returns to when its last reference drops — the
-/// forward and autograd may hold x_f32 and the adjacency past the batch.
+/// forward and autograd may hold the rows and the adjacency past the batch.
 struct DeviceBatch {
   std::int64_t index = -1;
-  Mfg mfg;       // adjacency arrays are device-side copies
-  Tensor x_f32;  // [num_input, F] f32
-  Tensor y;      // [batch_size] i64
+  Mfg mfg;  // adjacency arrays are device-side copies
+  /// The model's input, [num_input, F] in the wire dtype (f16, f32, or i8q
+  /// carrying its row scale/zero): the transferred rows themselves without
+  /// a cache, else gathered from the cache and the transferred misses. No
+  /// f32 copy is made; the model's first layer converts the rows as it
+  /// loads them ("GPU training computations are still done in single
+  /// precision", §3). The name predates wire-dtype inputs.
+  Tensor x_f32;
+  Tensor y;  // [batch_size] i64
 };
 
-/// The wire -> f32 feature assembly shared by DeviceSim's transfers and
-/// the cluster's node step (dist/cluster): writes every row of `out`
-/// ([num_input, F] f32) straight from its source.
-///  * Without a plan, `rows` holds every input row, converted in one bulk
-///    call.
-///  * With a plan, input row i is a cache hit copied from row
-///    plan->source[i] of plan->hit_rows (dynamic policies) or of
-///    `cache_rows` (FeatureCache::features()), or a miss converted in place
-///    from row plan->source[i] of `rows`.
-/// `rows` is the transferred wire payload: f16, f32, or i8q with its
-/// per-row `scale`/`zero` sidecars (undefined for the other dtypes). Above
-/// the memory-bound grain (ops::kMemoryBoundGrain elements) the rows are
-/// split across the kernel pool; the output is the same bytes either way.
-/// \throws std::invalid_argument on another wire dtype, or i8q rows without
-/// sidecars.
-void assemble_features(const Tensor& rows, const Tensor& scale,
-                       const Tensor& zero, const CachePlan* plan,
+/// The input-row gather shared by DeviceSim's cached transfers and the
+/// cluster's node step (dist/cluster): input row i of `out` ([num_input, F]
+/// in the wire dtype) is a bytewise copy of row plan.source[i] of
+/// plan.hit_rows (dynamic policies) or of `cache_rows`
+/// (FeatureCache::features()) when plan.from_cache[i], else of row
+/// plan.source[i] of `rows`, the transferred misses. `rows`, the hit rows
+/// and `out` share one wire dtype — f16, f32, or i8q, whose row scale/zero
+/// travel with their rows. Above the memory-bound grain
+/// (ops::kMemoryBoundGrain elements) the rows are split across the kernel
+/// pool; the output is the same bytes either way.
+/// \throws std::invalid_argument on another dtype, mismatched dtypes or
+/// widths, or i8q rows without their scale/zero.
+void assemble_features(const Tensor& rows, const CachePlan& plan,
                        const Tensor& cache_rows, Tensor& out);
 
 class DeviceSim {
@@ -74,10 +75,10 @@ class DeviceSim {
   /// zero-fills nothing.
   BufferPool& pool() { return pool_; }
 
-  /// Enqueue the full H2D transfer of `batch` on the copy stream and the
-  /// bulk wire -> f32 feature conversion on the compute stream (after the
-  /// copy): the no-plan case of transfer_batch_cached. Returns the device
-  /// batch and records `ready` on the compute stream — kernels enqueued
+  /// Enqueue the full H2D transfer of `batch` on the copy stream, whose
+  /// wire rows become the device batch's input as they are: the no-plan
+  /// case of transfer_batch_cached. Returns the device batch and records
+  /// `ready` on the compute stream (after the copy) — kernels enqueued
   /// after a wait on `ready` see the complete batch.
   ///
   /// When `blocking`, the call synchronizes before returning (the standard
@@ -87,12 +88,13 @@ class DeviceSim {
                              Event* ready);
 
   /// Cache-aware transfer (paper §8 / GNS-style device cache): `batch.x`
-  /// holds only the plan's missing rows; the compute stream assembles the
-  /// full f32 feature matrix from the device-resident cache plus the
-  /// transferred rows (assemble_features). Transfer volume drops by the
+  /// holds only the plan's missing rows; the compute stream gathers the
+  /// full input from the device-resident cache plus the transferred rows
+  /// (assemble_features), in the wire dtype. Transfer volume drops by the
   /// cache hit rate.
   /// \throws std::invalid_argument when `batch.x` is not the plan's missing
-  /// rows or the plan does not cover the batch's input nodes.
+  /// rows, the plan does not cover the batch's input nodes, or the cache
+  /// holds rows of another dtype than `batch.x`.
   DeviceBatch transfer_batch_cached(const PreparedBatch& batch,
                                     const CachePlan& plan,
                                     const FeatureCache& cache, bool blocking,
@@ -100,8 +102,9 @@ class DeviceSim {
 
  private:
   /// The one transfer body: adjacency, label and wire-feature DMAs on the
-  /// copy stream, then assemble_features on the compute stream (`plan` null
-  /// without a cache; `cache_rows` is FeatureCache::features()).
+  /// copy stream, then, with a plan, assemble_features on the compute stream
+  /// (`plan` null without a cache; `cache_rows` is
+  /// FeatureCache::features()).
   DeviceBatch transfer(const PreparedBatch& batch,
                        std::shared_ptr<const CachePlan> plan,
                        Tensor cache_rows, bool blocking, Event* ready);

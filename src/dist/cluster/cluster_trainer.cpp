@@ -109,7 +109,7 @@ void allreduce_gradients(const std::vector<Variable>& params,
               flat.begin() + static_cast<std::ptrdiff_t>(off + n),
               g.data<float>());
     p.zero_grad();
-    p.accumulate_grad(g);
+    p.accumulate_grad(std::move(g));
     off += n;
   }
 }
@@ -421,18 +421,19 @@ ClusterEpochResult ClusterTrainer::train_epoch(int epoch) {
       }
 
       // -- Phase C: wait batch b's completion events (committing the
-      // fetched payloads), assemble the f32 inputs, train, allreduce, step,
-      // and return the staged buffers. Nothing here depends on the depth,
-      // so losses are depth-invariant.
+      // fetched payloads), gather the f16 input rows (cache hits and staged
+      // misses; layer 0 converts them as it loads them), train, allreduce,
+      // step, and return the staged buffers. Nothing here depends on the
+      // depth, so losses are depth-invariant.
       t.reset();
       StepState& s = ring[rankz][static_cast<std::size_t>(b % slots)];
       for (const FetchId id : s.fetch_ids) net_.wait_fetch(id);
       s.fetch_ids.clear();
       Tensor x;  // stays undefined for an empty chunk
       if (s.rows > 0) {
-        x = Tensor({s.batch.mfg.num_input_nodes(), feat_dim}, DType::kF32);
-        assemble_features(s.batch.x, s.batch.x_scale, s.batch.x_zero,
-                          &s.rp.plan, rcache.cache().features(), x);
+        x = Tensor({s.batch.mfg.num_input_nodes(), feat_dim},
+                   s.batch.x.dtype());
+        assemble_features(s.batch.x, s.rp.plan, rcache.cache().features(), x);
       }
       GradReduce reduce;
       if (world > 1) {

@@ -31,7 +31,9 @@ Variable GinConv::forward(const Variable& x, const MfgLevel& level) {
       std::shared_ptr<const std::vector<std::int64_t>>(level.indptr),
       std::shared_ptr<const std::vector<std::int64_t>>(level.indices), x,
       level.num_dst);
-  Variable x_dst = autograd::narrow_rows(x, 0, level.num_dst);
+  // The sum reads wire rows directly; the root term's scale converts them.
+  Variable x_dst =
+      autograd::to_compute(autograd::narrow_rows(x, 0, level.num_dst));
   Variable combined =
       autograd::add(agg, autograd::scale(x_dst, 1.0 + eps_));
   return mlp_->forward(combined);

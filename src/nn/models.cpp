@@ -194,7 +194,8 @@ Variable GraphSageRi::forward(const Variable& x, const Mfg& mfg) {
   }
   const std::int64_t end_size = mfg.batch_size;
   std::vector<Variable> collect;
-  Variable h = dropout_->forward(x);
+  // The input dropout and the concat head read f32: wire rows convert once.
+  Variable h = dropout_->forward(autograd::to_compute(x));
   collect.push_back(autograd::narrow_rows(h, 0, end_size));
   for (std::size_t i = 0; i < convs_.size(); ++i) {
     const auto& level = mfg.levels[i];

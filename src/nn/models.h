@@ -40,6 +40,9 @@ struct ModelConfig {
 class GnnModel : public Module {
  public:
   /// Full forward over a sampled MFG -> [batch_size, out] log-probabilities.
+  /// x is [num_input, in]: f32, or wire rows as a device batch holds them
+  /// (f16, or i8q carrying its row scale/zero), which the first layer
+  /// converts as it loads them — bitwise equal to converting first.
   virtual Variable forward(const Variable& x, const Mfg& mfg) = 0;
   /// Architecture name ("sage", "gat", "gin", "sage-ri").
   virtual const char* arch() const = 0;

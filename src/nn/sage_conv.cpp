@@ -33,16 +33,18 @@ Variable SageConv::forward(const Variable& x, const MfgLevel& level,
                                lin_neigh_->bias(), tail.relu, tail.dropout_p,
                                is_training(), tail.seed);
   }
+  // The max and the pool transform read f32: wire rows convert once.
+  const Variable xc = autograd::to_compute(x);
   Variable agg;
   if (aggregator_ == SageAggregator::kMax) {
-    agg = autograd::spmm_max(indptr, indices, x, level.num_dst);
+    agg = autograd::spmm_max(indptr, indices, xc, level.num_dst);
   } else {
     // Fused bias+ReLU epilogue on the pool transform.
-    Variable transformed = lin_pool_->forward_act(x);
+    Variable transformed = lin_pool_->forward_act(xc);
     agg = autograd::spmm_max(indptr, indices, transformed, level.num_dst);
   }
   // Root term on the destination prefix.
-  Variable x_dst = autograd::narrow_rows(x, 0, level.num_dst);
+  Variable x_dst = autograd::narrow_rows(xc, 0, level.num_dst);
   Variable h =
       autograd::add(lin_neigh_->forward(agg), lin_root_->forward(x_dst));
   if (!tail.relu) return h;

@@ -35,11 +35,12 @@ class SageConv : public Module {
            bool bias = false, std::uint64_t init_seed = 11,
            SageAggregator aggregator = SageAggregator::kMean);
 
-  /// x is the source-node feature matrix [num_src, in]; the level supplies
-  /// the bipartite adjacency and the destination prefix size. The mean
-  /// aggregator runs as one fused node (autograd::sage_conv) with `tail` in
-  /// its GEMM's store; max and pool compose the aggregation, the two
-  /// Linears and a one-pass tail.
+  /// x is the source-node feature matrix [num_src, in], f32 or wire rows
+  /// (the first layer); the level supplies the bipartite adjacency and the
+  /// destination prefix size. The mean aggregator runs as one fused node
+  /// (autograd::sage_conv) with `tail` in its GEMM's store, reading wire
+  /// rows directly; max and pool convert wire rows once, then compose the
+  /// aggregation, the two Linears and a one-pass tail.
   Variable forward(const Variable& x, const MfgLevel& level,
                    const ConvTail& tail = {});
 

@@ -91,9 +91,9 @@ std::optional<PreparedBatch> BaselineLoader::next() {
     return pinned;
   };
   batch.x = pin(store_->rows);
-  if (store_->scale.defined()) {
-    batch.x_scale = pin(store_->scale);
-    batch.x_zero = pin(store_->zero);
+  if (store_->rows.has_row_params()) {
+    batch.x_scale = pin(store_->rows.row_scale());
+    batch.x_zero = pin(store_->rows.row_zero());
   }
 
   batch.y = pool_->acquire({batch.mfg.batch_size}, DType::kI64);

@@ -29,11 +29,11 @@ void gather_wire_rows(const WireStore& store, std::span<const NodeId> ids,
   const auto n = static_cast<std::int64_t>(ids.size());
   batch.x = pool.acquire({n, store.rows.size(1)}, store.dtype());
   slice_rows_serial(store.rows, ids, batch.x);
-  if (store.scale.defined()) {
+  if (store.rows.has_row_params()) {
     batch.x_scale = pool.acquire({n}, DType::kF32);
     batch.x_zero = pool.acquire({n}, DType::kF32);
-    slice_rows_serial(store.scale, ids, batch.x_scale);
-    slice_rows_serial(store.zero, ids, batch.x_zero);
+    slice_rows_serial(store.rows.row_scale(), ids, batch.x_scale);
+    slice_rows_serial(store.rows.row_zero(), ids, batch.x_zero);
   }
 }
 
@@ -49,14 +49,17 @@ std::shared_ptr<const WireStore> make_wire_store(const Tensor& features,
   }
   SALIENT_TRACE_SCOPE("prep.wire_store");
   const std::int64_t n = features.size(0);
-  store->rows = Tensor({n, features.size(1)}, wire_dtype);
+  Tensor rows({n, features.size(1)}, wire_dtype);
+  Tensor scale, zero;
   if (wire_dtype == DType::kInt8Q) {
-    store->scale = Tensor({n}, DType::kF32);
-    store->zero = Tensor({n}, DType::kF32);
+    scale = Tensor({n}, DType::kF32);
+    zero = Tensor({n}, DType::kF32);
   }
   std::vector<NodeId> all(static_cast<std::size_t>(n));
   std::iota(all.begin(), all.end(), NodeId{0});
-  slice_rows_to_wire(features, all, store->rows, store->scale, store->zero);
+  slice_rows_to_wire(features, all, rows, scale, zero);
+  store->rows =
+      wire_dtype == DType::kInt8Q ? rows.with_row_params(scale, zero) : rows;
   return store;
 }
 

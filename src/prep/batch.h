@@ -33,8 +33,7 @@ struct PreparedBatch {
   Tensor y;  ///< [batch_size] labels (i64)
   /// Per-row dequantization parameters, defined only when x is kInt8Q:
   /// [x.size(0)] f32 scales and zero-points (tensor/quantize.h). They ride
-  /// the same DMA as x and the device consumes them when assembling the
-  /// f32 compute copy.
+  /// the same DMA as x, and the device rows carry them to the model.
   Tensor x_scale;
   Tensor x_zero;
   /// Set when the batch was prepared against a device feature cache:
@@ -71,12 +70,10 @@ class PinnedPool;
 /// loader workers, read-only.
 struct WireStore {
   /// [N, F] every node's features in the wire dtype: Dataset::features
-  /// itself when that is the store's dtype already.
+  /// itself when that is the store's dtype already. An i8q store's rows
+  /// carry their [N] f32 scales and zero-points (tensor/quantize.h) as row
+  /// parameters (Tensor::row_scale/row_zero).
   Tensor rows;
-  /// [N] f32 per-row scales and zero-points (tensor/quantize.h), defined
-  /// only for a kInt8Q store.
-  Tensor scale;
-  Tensor zero;
 
   DType dtype() const { return rows.dtype(); }
 };

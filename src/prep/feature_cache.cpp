@@ -1,11 +1,11 @@
 #include "prep/feature_cache.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "prep/slicing.h"
+#include "tensor/quantize.h"
 
 namespace salient {
 
@@ -14,18 +14,30 @@ FeatureCache::FeatureCache(const Dataset& dataset, std::int64_t capacity)
                    make_cache_policy(CachePolicyConfig{})) {}
 
 FeatureCache::FeatureCache(const Dataset& dataset, std::int64_t capacity,
-                           const CachePolicyConfig& config)
-    : FeatureCache(dataset, capacity, make_cache_policy(config)) {}
+                           const CachePolicyConfig& config, Tensor rows)
+    : FeatureCache(dataset, capacity, make_cache_policy(config),
+                   std::move(rows)) {}
 
 FeatureCache::FeatureCache(const Dataset& dataset, std::int64_t capacity,
-                           std::unique_ptr<CachePolicy> policy)
-    : dataset_(&dataset), policy_(std::move(policy)) {
+                           std::unique_ptr<CachePolicy> policy, Tensor rows)
+    : dataset_(&dataset),
+      rows_(rows.defined() ? std::move(rows) : dataset.features),
+      policy_(std::move(policy)) {
   if (!policy_) {
     throw std::invalid_argument("FeatureCache: null policy");
   }
   const std::int64_t n = dataset.graph.num_nodes();
   capacity_ = std::clamp<std::int64_t>(capacity, 0, n);
   feature_dim_ = dataset.feature_dim;
+  const DType dt = rows_.dtype();
+  if ((dt != DType::kF16 && dt != DType::kF32 && dt != DType::kInt8Q) ||
+      rows_.dim() != 2 || rows_.size(0) != n ||
+      rows_.size(1) != feature_dim_ ||
+      (dt == DType::kInt8Q && !rows_.has_row_params())) {
+    throw std::invalid_argument(
+        "FeatureCache: rows must be [|V|, F] f16/f32/i8q (i8q with its row "
+        "scale/zero)");
+  }
 
   std::vector<NodeId> pinned = policy_->pin(dataset, capacity_);
   if (static_cast<std::int64_t>(pinned.size()) > capacity_) {
@@ -33,15 +45,15 @@ FeatureCache::FeatureCache(const Dataset& dataset, std::int64_t capacity,
   }
   dynamic_ = policy_->dynamic();
 
-  // Materialize the pinned rows in device precision.
-  Tensor host_rows({static_cast<std::int64_t>(pinned.size()), feature_dim_},
-                   dataset.features.dtype());
-  slice_rows_serial(dataset.features, pinned, host_rows);
-  const Tensor pinned_f32 = host_rows.to(DType::kF32);
-
+  // Copy the pinned rows, in the rows' dtype, into slots 0, 1, ...
+  Tensor resident =
+      alloc_rows(dynamic_ ? capacity_ : static_cast<std::int64_t>(pinned.size()));
+  Tensor pinned_slots =
+      resident.narrow_rows(0, static_cast<std::int64_t>(pinned.size()));
+  slice_rows_serial(rows_, pinned, pinned_slots);
   if (!dynamic_) {
     slot_.assign(static_cast<std::size_t>(n), -1);
-    features_ = pinned_f32;
+    features_ = std::move(resident);
     for (std::size_t s = 0; s < pinned.size(); ++s) {
       slot_[static_cast<std::size_t>(pinned[s])] =
           static_cast<std::int64_t>(s);
@@ -51,19 +63,19 @@ FeatureCache::FeatureCache(const Dataset& dataset, std::int64_t capacity,
   LockGuard lock(mu_);
   dyn_slot_.assign(static_cast<std::size_t>(n), -1);
   node_of_slot_.assign(static_cast<std::size_t>(capacity_), -1);
-  dyn_features_ = Tensor({capacity_, feature_dim_}, DType::kF32);
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(feature_dim_) * sizeof(float);
+  dyn_features_ = std::move(resident);
   for (std::size_t s = 0; s < pinned.size(); ++s) {
     dyn_slot_[static_cast<std::size_t>(pinned[s])] =
         static_cast<std::int64_t>(s);
     node_of_slot_[s] = pinned[s];
-    std::memcpy(dyn_features_.data<float>() +
-                    static_cast<std::int64_t>(s) * feature_dim_,
-                pinned_f32.data<float>() +
-                    static_cast<std::int64_t>(s) * feature_dim_,
-                row_bytes);
   }
+}
+
+Tensor FeatureCache::alloc_rows(std::int64_t n) const {
+  Tensor out({n, feature_dim_}, rows_.dtype());
+  if (rows_.dtype() != DType::kInt8Q) return out;
+  return out.with_row_params(Tensor({n}, DType::kF32),
+                             Tensor({n}, DType::kF32));
 }
 
 std::int64_t FeatureCache::slot_of(NodeId v) const {
@@ -95,9 +107,9 @@ std::vector<NodeId> FeatureCache::resident_nodes() const {
 }
 
 std::size_t FeatureCache::device_bytes() const {
-  if (!dynamic_) return features_.nbytes();
-  return static_cast<std::size_t>(capacity_) *
-         static_cast<std::size_t>(feature_dim_) * sizeof(float);
+  const std::int64_t slots = dynamic_ ? capacity_ : features_.size(0);
+  return static_cast<std::size_t>(slots) *
+         ops::wire_row_bytes(rows_.dtype(), feature_dim_);
 }
 
 CachePlan FeatureCache::plan_static(const Mfg& mfg) const {
@@ -124,67 +136,44 @@ CachePlan FeatureCache::plan_dynamic(const Mfg& mfg) const {
   CachePlan plan;
   plan.from_cache.reserve(mfg.n_ids.size());
   plan.source.reserve(mfg.n_ids.size());
-  const std::size_t row_floats = static_cast<std::size_t>(feature_dim_);
-  std::vector<float> hit_staging;  // hits * F, snapshotted under the lock
+  std::vector<NodeId> hit_slots;
   std::vector<NodeId> admitted_nodes;
   std::vector<std::int64_t> admitted_slots;
-  {
-    LockGuard lock(mu_);
-    const float* feat = dyn_features_.data<float>();
-    for (const NodeId v : mfg.n_ids) {
-      const bool in_range =
-          v >= 0 && v < static_cast<NodeId>(dyn_slot_.size());
-      const std::int64_t slot =
-          in_range ? dyn_slot_[static_cast<std::size_t>(v)] : -1;
-      if (slot >= 0) {
-        policy_->touch(slot);
-        plan.from_cache.push_back(1);
-        plan.source.push_back(
-            static_cast<std::int64_t>(hit_staging.size() / row_floats));
-        const float* row = feat + slot * feature_dim_;
-        hit_staging.insert(hit_staging.end(), row, row + feature_dim_);
-      } else {
-        plan.from_cache.push_back(0);
-        plan.source.push_back(plan.num_missing++);
-        if (capacity_ > 0 && in_range) {
-          const std::int64_t victim = policy_->admit(v);
-          if (victim >= 0) {
-            // Retarget the slot; the row contents are written below. No hit
-            // later in this batch can reference the victim slot (input node
-            // ids are unique), so deferring the copy is safe.
-            const NodeId old = node_of_slot_[static_cast<std::size_t>(victim)];
-            if (old >= 0) dyn_slot_[static_cast<std::size_t>(old)] = -1;
-            node_of_slot_[static_cast<std::size_t>(victim)] = v;
-            dyn_slot_[static_cast<std::size_t>(v)] = victim;
-            admitted_nodes.push_back(v);
-            admitted_slots.push_back(victim);
-          }
+  LockGuard lock(mu_);
+  for (const NodeId v : mfg.n_ids) {
+    const bool in_range = v >= 0 && v < static_cast<NodeId>(dyn_slot_.size());
+    const std::int64_t slot =
+        in_range ? dyn_slot_[static_cast<std::size_t>(v)] : -1;
+    if (slot >= 0) {
+      policy_->touch(slot);
+      plan.from_cache.push_back(1);
+      plan.source.push_back(static_cast<std::int64_t>(hit_slots.size()));
+      hit_slots.push_back(slot);
+    } else {
+      plan.from_cache.push_back(0);
+      plan.source.push_back(plan.num_missing++);
+      if (capacity_ > 0 && in_range) {
+        const std::int64_t victim = policy_->admit(v);
+        if (victim >= 0) {
+          // Retarget the slot; the row contents are written below, after
+          // the hit rows are snapshotted (a victim may be an earlier hit of
+          // this batch). No hit later in this batch can reference the
+          // victim slot (input node ids are unique).
+          const NodeId old = node_of_slot_[static_cast<std::size_t>(victim)];
+          if (old >= 0) dyn_slot_[static_cast<std::size_t>(old)] = -1;
+          node_of_slot_[static_cast<std::size_t>(victim)] = v;
+          dyn_slot_[static_cast<std::size_t>(v)] = victim;
+          admitted_nodes.push_back(v);
+          admitted_slots.push_back(victim);
         }
       }
     }
-    if (!admitted_nodes.empty()) {
-      // One batched slice + convert for all admissions of this plan.
-      Tensor host({static_cast<std::int64_t>(admitted_nodes.size()),
-                   feature_dim_},
-                  dataset_->features.dtype());
-      slice_rows_serial(dataset_->features, admitted_nodes, host);
-      const Tensor rows_f32 = host.to(DType::kF32);
-      const std::size_t row_bytes = row_floats * sizeof(float);
-      for (std::size_t i = 0; i < admitted_slots.size(); ++i) {
-        std::memcpy(dyn_features_.data<float>() +
-                        admitted_slots[i] * feature_dim_,
-                    rows_f32.data<float>() +
-                        static_cast<std::int64_t>(i) * feature_dim_,
-                    row_bytes);
-      }
-    }
   }
-  const auto hits =
-      static_cast<std::int64_t>(hit_staging.size() / row_floats);
-  plan.hit_rows = Tensor({hits, feature_dim_}, DType::kF32);
-  if (hits > 0) {
-    std::memcpy(plan.hit_rows.raw(), hit_staging.data(),
-                hit_staging.size() * sizeof(float));
+  plan.hit_rows = alloc_rows(static_cast<std::int64_t>(hit_slots.size()));
+  slice_rows_serial(dyn_features_, hit_slots, plan.hit_rows);
+  for (std::size_t i = 0; i < admitted_slots.size(); ++i) {
+    Tensor slot = dyn_features_.narrow_rows(admitted_slots[i], 1);
+    slice_rows_serial(rows_, {&admitted_nodes[i], 1}, slot);
   }
   return plan;
 }

@@ -6,7 +6,10 @@
 // slicing or data transfer volume."
 //
 // The cache keeps the features of up to `capacity` vertices resident on the
-// device in compute precision (f32). Which vertices those are is decided by
+// device in the wire dtype the batches use (f16, f32, or i8q with each row's
+// scale and zero-point), copied from the owner's wire store at set-up: no
+// f32 copy exists, so the same memory holds 2x (f16) to ~4x (i8q) the rows
+// of an f32 cache. Which vertices those are is decided by
 // a CachePolicy (prep/cache_policy.h): static degree-ordered pinning (the
 // GNS cache of Dong et al., the default), static presample-based pinning
 // (FGNN/GNNLab-style warmup frequency counting), dynamic LRU, or an
@@ -17,9 +20,9 @@
 //
 // Pipeline integration: the preparation side slices only the *missing* rows
 // into pinned staging (prepare_batch: plan_cached_batch + missing_node_ids +
-// a gather from the wire store), and the device assembles the full feature
-// matrix from the cache plus the transferred rows on the compute stream
-// (DeviceSim::transfer_batch_cached).
+// a gather from the wire store), and the device gathers the full input, in
+// the wire dtype, from the cache plus the transferred rows on the compute
+// stream (DeviceSim::transfer_batch_cached).
 //
 // Concurrency: caches built with a static policy are immutable after
 // construction and planned against lock-free from any number of loader /
@@ -60,9 +63,10 @@ struct CachePlan {
   std::vector<std::int64_t> source;
   /// Number of rows the host must still transfer.
   std::int64_t num_missing = 0;
-  /// Dynamic policies only: an f32 snapshot [hits, F] of the hit rows,
-  /// taken atomically with the plan so later evictions cannot corrupt
-  /// in-flight batches. Undefined for static policies (the device reads
+  /// Dynamic policies only: a snapshot [hits, F] of the hit rows in the
+  /// cache's dtype (i8q rows with their scale/zero), taken atomically with
+  /// the plan so later evictions cannot corrupt in-flight batches.
+  /// Undefined for static policies (the device reads
   /// FeatureCache::features() directly — it never changes).
   Tensor hit_rows;
 
@@ -82,10 +86,10 @@ CachePlan plan_cached_batch(const Mfg& mfg, const FeatureCache& cache);
 
 /// Device-resident feature cache over a policy-selected vertex set.
 ///
-/// Construction materializes the policy's pinned rows in device precision
-/// (f32); capacity 0 is a valid always-miss cache. Instances are shared
-/// across loader/serve workers via shared_ptr<const FeatureCache>; all
-/// const member functions are thread-safe.
+/// Construction copies the policy's pinned rows from the source rows, in
+/// their dtype; capacity 0 is a valid always-miss cache. Instances are
+/// shared across loader/serve workers via shared_ptr<const FeatureCache>;
+/// all const member functions are thread-safe.
 class FeatureCache {
  public:
   /// Degree-ordered static cache of the `capacity` highest-degree nodes
@@ -93,14 +97,19 @@ class FeatureCache {
   FeatureCache(const Dataset& dataset, std::int64_t capacity);
 
   /// Build with the policy described by `config` (the `--cache-policy`
-  /// CLI surface; see CachePolicyConfig).
+  /// CLI surface; see CachePolicyConfig). `rows` is every node's features
+  /// in the wire dtype the batches use — an owner's WireStore::rows, which
+  /// for i8q carries its row scale/zero — and the cache copies its resident
+  /// rows from it; undefined means `dataset.features`.
+  /// \throws std::invalid_argument when `rows` is not [|V|, F] f16, f32,
+  /// or i8q with its row scale/zero.
   FeatureCache(const Dataset& dataset, std::int64_t capacity,
-               const CachePolicyConfig& config);
+               const CachePolicyConfig& config, Tensor rows = {});
 
-  /// Build over an explicit policy instance (tests, custom policies). The
-  /// cache borrows `dataset`, which must outlive it.
+  /// Build over an explicit policy instance (tests, custom policies), with
+  /// `rows` as above. The cache borrows `dataset`, which must outlive it.
   FeatureCache(const Dataset& dataset, std::int64_t capacity,
-               std::unique_ptr<CachePolicy> policy);
+               std::unique_ptr<CachePolicy> policy, Tensor rows = {});
 
   /// Maximum resident rows (clamped to the dataset's node count).
   std::int64_t capacity() const { return capacity_; }
@@ -111,9 +120,13 @@ class FeatureCache {
   /// Whether the resident set mutates at plan time (see CachePolicy).
   bool dynamic_policy() const { return dynamic_; }
 
-  /// Static policies: the resident feature matrix [capacity, F]
-  /// (device-resident f32), immutable after construction. Undefined for
-  /// dynamic policies — their plans carry CachePlan::hit_rows instead.
+  /// The dtype of the resident rows: the source rows' wire dtype.
+  DType dtype() const { return rows_.dtype(); }
+
+  /// Static policies: the resident feature matrix [capacity, F] in dtype()
+  /// (an i8q matrix carries its row scale/zero), immutable after
+  /// construction. Undefined for dynamic policies — their plans carry
+  /// CachePlan::hit_rows instead.
   const Tensor& features() const { return features_; }
 
   /// Cache slot of node `v`, or -1 when not resident. Static policies:
@@ -125,7 +138,8 @@ class FeatureCache {
   /// takes the cache lock for dynamic policies).
   std::vector<NodeId> resident_nodes() const;
 
-  /// Bytes of device memory the cache occupies.
+  /// Bytes of device memory the cache occupies: its slots times
+  /// ops::wire_row_bytes of dtype().
   std::size_t device_bytes() const;
 
  private:
@@ -137,20 +151,24 @@ class FeatureCache {
   /// admissions/evictions.
   CachePlan plan_dynamic(const Mfg& mfg) const;
 
+  /// A [n, F] matrix of the rows' dtype (an i8q one with row scale/zero).
+  Tensor alloc_rows(std::int64_t n) const;
+
   const Dataset* dataset_ = nullptr;  ///< borrowed; outlives the cache
+  Tensor rows_;  ///< every node's rows in the wire dtype (shared, read-only)
   std::unique_ptr<CachePolicy> policy_;
   bool dynamic_ = false;
   std::int64_t capacity_ = 0;
   std::int64_t feature_dim_ = 0;
 
   // Static-policy state: immutable after construction, read lock-free.
-  Tensor features_;                 ///< [capacity, F] f32
+  Tensor features_;                 ///< [capacity, F] in dtype()
   std::vector<std::int64_t> slot_;  ///< node -> slot or -1
 
   /// Guards every dyn_* member plus the policy's admission/recency state
   /// (dynamic policies only; never taken by static-policy caches).
   mutable Mutex mu_;
-  mutable Tensor dyn_features_ GUARDED_BY(mu_);  ///< [capacity, F] f32
+  mutable Tensor dyn_features_ GUARDED_BY(mu_);  ///< [capacity, F] dtype()
   mutable std::vector<std::int64_t> dyn_slot_ GUARDED_BY(mu_);
   mutable std::vector<NodeId> node_of_slot_ GUARDED_BY(mu_);
 };

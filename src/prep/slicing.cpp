@@ -55,7 +55,14 @@ void slice_rows_serial(const Tensor& src, std::span<const NodeId> ids,
                        Tensor& out) {
   check_slice_args(src, ids, out);
   check_ids(ids, src.size(0), "slice_rows");
-  copy_row_range(src, ids, out, 0, static_cast<std::int64_t>(ids.size()));
+  const auto n = static_cast<std::int64_t>(ids.size());
+  copy_row_range(src, ids, out, 0, n);
+  if (src.has_row_params() && out.has_row_params()) {
+    Tensor scale = out.row_scale();
+    Tensor zero = out.row_zero();
+    copy_row_range(src.row_scale(), ids, scale, 0, n);
+    copy_row_range(src.row_zero(), ids, zero, 0, n);
+  }
 }
 
 void slice_rows_parallel(const Tensor& src, std::span<const NodeId> ids,

@@ -24,7 +24,8 @@ namespace salient {
 
 /// out[k,:] = src[ids[k],:]. `out` must be preallocated [ids.size(), F] with
 /// src's dtype (or [ids.size()] for a 1-D src, such as the per-row sidecars
-/// of the int8 wire). Works for any dtype (bytewise row copies).
+/// of the int8 wire). Works for any dtype (bytewise row copies); when both
+/// are i8q tensors carrying row scale/zero, those are gathered too.
 void slice_rows_serial(const Tensor& src, std::span<const NodeId> ids,
                        Tensor& out);
 

@@ -83,8 +83,15 @@ InferenceServer::InferenceServer(const Dataset& dataset,
     const auto capacity = static_cast<std::int64_t>(
         config_.cache_percentage *
         static_cast<double>(dataset.graph.num_nodes()));
-    config_.feature_cache =
-        std::make_shared<const FeatureCache>(dataset, capacity, policy);
+    config_.feature_cache = std::make_shared<const FeatureCache>(
+        dataset, capacity, policy, store_->rows);
+  }
+  if (config_.feature_cache &&
+      config_.feature_cache->dtype() != config_.feature_dtype) {
+    // The device gathers cache hits and transferred misses into one input
+    // tensor of the wire dtype.
+    throw std::invalid_argument(
+        "serve: feature_cache must hold rows in feature_dtype");
   }
   model_->train(false);
   batcher_thread_ = std::thread([this] { batcher_loop(); });

@@ -58,8 +58,10 @@ struct ServeConfig {
   int pipeline_depth = 2;
   /// LRU entries of recent per-node predictions; 0 disables the cache.
   std::int64_t result_cache_capacity = 0;
-  /// Optional device-resident feature cache shared with training (§8). When
-  /// null and cache_percentage > 0, the server builds its own cache from
+  /// Optional device-resident feature cache shared with training (§8),
+  /// holding rows in `feature_dtype` (the constructor throws
+  /// std::invalid_argument otherwise). When null and cache_percentage > 0,
+  /// the server builds its own cache, from its wire store, with
   /// cache_policy/cache_percentage below.
   std::shared_ptr<const FeatureCache> feature_cache;
   /// Placement policy for a server-built feature cache (docs/CACHING.md).
@@ -106,6 +108,8 @@ class InferenceServer {
   /// outlive it. Serving starts immediately. The model must not be trained
   /// concurrently with serving — pause submission, update, then call
   /// notify_model_updated().
+  /// \throws std::invalid_argument when config.feature_cache holds rows of
+  /// another dtype than config.feature_dtype.
   InferenceServer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
                   DeviceSim& device, ServeConfig config);
   /// Drains in-flight work (shutdown()) and joins the serving threads.

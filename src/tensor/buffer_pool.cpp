@@ -171,6 +171,14 @@ Block BufferPool::State::acquire(std::size_t bucket, bool indices,
       }
       // A buffer returned (or a spurious wakeup): loop and retry.
     }
+    // Device memory allocates a miss with 1/16 headroom when that stays
+    // inside the 1/8 reuse bound (buffers of 512 KiB and up): a batch's
+    // buffers vary by a few percent from batch to batch, and a buffer of
+    // exactly the request would miss on the next, slightly larger one.
+    if (const std::size_t grown = bucket_of(bucket + bucket / 16);
+        !config.pinned && grown <= bucket + bucket / 8) {
+      bucket = grown;
+    }
     account_alloc(bucket, freed);
   }
   freed.clear();  // free the trimmed buffers before allocating a new one

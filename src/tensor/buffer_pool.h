@@ -9,9 +9,11 @@
 //   * capacities are 64 KiB multiples (size classes);
 //   * a request reuses the smallest idle buffer that fits. Device memory
 //     bounds it to at most 1/8 larger than the request: there one buffer
-//     (the f32 feature matrix) dwarfs the rest, and reusing any larger
+//     (the input feature rows) dwarfs the rest, and reusing any larger
 //     buffer lets small requests hold large ones, so the next large request
-//     allocates again. Pinned staging keeps unbounded reuse: its buffers
+//     allocates again. A device miss allocates 1/16 more than the request,
+//     inside that bound, so the next batch's slightly larger buffer still
+//     reuses it. Pinned staging keeps unbounded reuse: its buffers
 //     fluctuate in size around a few roles, and a miss there is a
 //     page-locked allocation;
 //   * when a request misses, idle buffers are freed, smallest first, until

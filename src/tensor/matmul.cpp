@@ -9,8 +9,9 @@
 //   * optimized (default) — a register-blocked microkernel over packed
 //     panels (tensor/gemm_kernel.h). One blocked loop serves every operand
 //     layout: transposed operands, two operands concatenated along K (the
-//     fused GraphSAGE conv) and compressed rows are packed straight from
-//     their source, so the hot loops stay unit-stride with no staging copy.
+//     fused GraphSAGE conv) and wire rows (f16, or i8q with its row
+//     parameters) are packed straight from their source, converted to f32
+//     in the packer, so the hot loops stay unit-stride with no staging copy.
 //     A GEMM of at least kGemmGrain multiply-adds runs as one dispatch on
 //     the kernel pool, over MR-row panels of C — or, for a small output
 //     with a long K (weight gradients), over fixed K chunks; smaller GEMMs
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/gemm_kernel.h"
@@ -192,13 +194,51 @@ struct BColsT {
   }
 };
 
-/// A from a row loader `void(row, k0, len, float* dst)` that decompresses a
-/// contiguous run of a source row (f16 or i8q features): each row's
-/// kc-long segment is decompressed contiguously (bulk converters want unit
+/// A row-major f32 or wire matrix (f16, or i8q with its row parameters),
+/// read as f32 one contiguous run of a row at a time: per element the
+/// conversion Tensor::to(kF32) applies, so a GEMM that packs through it is
+/// bitwise equal to one over the converted matrix.
+struct RowRuns {
+  explicit RowRuns(const Tensor& t)
+      : p(t.raw()),
+        dtype(t.dtype()),
+        ld(t.size(1)),
+        scale(t.dtype() == DType::kInt8Q ? t.row_scale().data<float>()
+                                         : nullptr),
+        zero(t.dtype() == DType::kInt8Q ? t.row_zero().data<float>()
+                                        : nullptr) {}
+
+  /// dst[0, len) = row r, columns [c0, c0 + len), as f32.
+  void operator()(std::int64_t r, std::int64_t c0, std::int64_t len,
+                  float* dst) const {
+    const std::int64_t at = r * ld + c0;
+    switch (dtype) {
+      case DType::kF16:
+        half_to_float_n(static_cast<const Half*>(p) + at, dst,
+                        static_cast<std::size_t>(len));
+        break;
+      case DType::kInt8Q:
+        dequantize_row(static_cast<const std::int8_t*>(p) + at, len, scale[r],
+                       zero[r], dst);
+        break;
+      default:
+        std::memcpy(dst, static_cast<const float*>(p) + at,
+                    static_cast<std::size_t>(len) * sizeof(float));
+    }
+  }
+
+  const void* p;
+  DType dtype;
+  std::int64_t ld;
+  const float* scale;
+  const float* zero;
+};
+
+/// A from a row-major [M, K] source read through RowRuns: each row's
+/// kc-long segment is loaded contiguously (bulk converters want unit
 /// stride), then the tiny tile is transposed into the panel layout.
-template <typename RowFn>
 struct ALoaded {
-  RowFn row;
+  RowRuns row;
   void operator()(std::int64_t i0, std::int64_t h, std::int64_t k0,
                   std::int64_t kc, float* dst) const {
     using detail::kGemmMR;
@@ -212,15 +252,48 @@ struct ALoaded {
   }
 };
 
-/// B from a row loader `void(k, j0, len, float* dst)`.
-template <typename RowFn>
+/// A = Sᵀ for a row-major [K, M] source S read through RowRuns: each k
+/// step loads a contiguous run of one row of S.
+struct ALoadedT {
+  RowRuns row;
+  void operator()(std::int64_t i0, std::int64_t h, std::int64_t k0,
+                  std::int64_t kc, float* dst) const {
+    using detail::kGemmMR;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      float* d = dst + p * kGemmMR;
+      row(k0 + p, i0, h, d);
+      for (std::int64_t r = h; r < kGemmMR; ++r) d[r] = 0.0f;
+    }
+  }
+};
+
+/// B from a row-major [K, N] source read through RowRuns.
 struct BLoaded {
-  RowFn row;
+  RowRuns row;
   void operator()(std::int64_t j0, std::int64_t w, std::int64_t k0,
                   std::int64_t kc, float* dst) const {
     constexpr std::int64_t kNR = detail::kGemmNR<float>;
     for (std::int64_t p = 0; p < kc; ++p) {
       row(k0 + p, j0, w, dst + p * kNR);
+      for (std::int64_t c = w; c < kNR; ++c) dst[p * kNR + c] = 0.0f;
+    }
+  }
+};
+
+/// B = Sᵀ for a row-major [N, K] source S read through RowRuns: each
+/// column of B is a contiguous run of one row of S, loaded and then
+/// scattered.
+struct BLoadedT {
+  RowRuns row;
+  void operator()(std::int64_t j0, std::int64_t w, std::int64_t k0,
+                  std::int64_t kc, float* dst) const {
+    constexpr std::int64_t kNR = detail::kGemmNR<float>;
+    float stage[kBlockKC];
+    for (std::int64_t c = 0; c < w; ++c) {
+      row(j0 + c, k0, kc, stage);
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * kNR + c] = stage[p];
+    }
+    for (std::int64_t p = 0; p < kc; ++p) {
       for (std::int64_t c = w; c < kNR; ++c) dst[p * kNR + c] = 0.0f;
     }
   }
@@ -405,120 +478,6 @@ void transpose_into(const T* src, T* out, std::int64_t r, std::int64_t c) {
   }
 }
 
-/// Bulk-convert an f16 matrix to a freshly allocated f32 tensor (cold path:
-/// the reference kernel and transposed mixed operands).
-Tensor half_matrix_to_f32(const Tensor& a) {
-  Tensor out(a.shape(), DType::kF32);
-  half_to_float_n(a.data<Half>(), out.data<float>(),
-                  static_cast<std::size_t>(a.numel()));
-  return out;
-}
-
-/// Mixed f16/f32 matmul: either operand (or both) may be kF16; the result is
-/// kF32. Untransposed f16 operands are decompressed inside the packing stage
-/// (ALoaded / BLoaded); transposed ones (backward-pass shapes, not the
-/// feature hot path) are materialized as transposed f32 copies first.
-Tensor matmul_mixed(const Tensor& a, const Tensor& b, bool trans_a,
-                    bool trans_b) {
-  const std::int64_t m = trans_a ? a.size(1) : a.size(0);
-  const std::int64_t k = trans_a ? a.size(0) : a.size(1);
-  const std::int64_t kb = trans_b ? b.size(1) : b.size(0);
-  const std::int64_t n = trans_b ? b.size(0) : b.size(1);
-  if (k != kb) {
-    throw std::runtime_error("matmul: inner dimension mismatch: " + a.str() +
-                             " x " + b.str());
-  }
-  Tensor out({m, n}, DType::kF32);
-
-  // Resolve each operand to either a raw f16 row source or an f32 one
-  // (materializing a converted/transposed copy when needed).
-  const Half* a16 = nullptr;
-  const float* a32 = nullptr;
-  std::vector<float> a_stage;
-  if (a.dtype() == DType::kF16 && !trans_a) {
-    a16 = a.data<Half>();
-  } else {
-    Tensor af = a.dtype() == DType::kF16 ? half_matrix_to_f32(a) : a;
-    if (trans_a) {
-      a_stage.resize(static_cast<std::size_t>(m) * k);
-      transpose_into(af.data<float>(), a_stage.data(), a.size(0), a.size(1));
-      a32 = a_stage.data();
-    } else if (a.dtype() == DType::kF16) {
-      a_stage.assign(af.data<float>(), af.data<float>() + af.numel());
-      a32 = a_stage.data();
-    } else {
-      a32 = a.data<float>();
-    }
-  }
-  const Half* b16 = nullptr;
-  const float* b32 = nullptr;
-  std::vector<float> b_stage;
-  if (b.dtype() == DType::kF16 && !trans_b) {
-    b16 = b.data<Half>();
-  } else {
-    Tensor bf = b.dtype() == DType::kF16 ? half_matrix_to_f32(b) : b;
-    if (trans_b) {
-      b_stage.resize(static_cast<std::size_t>(k) * n);
-      transpose_into(bf.data<float>(), b_stage.data(), b.size(0), b.size(1));
-      b32 = b_stage.data();
-    } else if (b.dtype() == DType::kF16) {
-      b_stage.assign(bf.data<float>(), bf.data<float>() + bf.numel());
-      b32 = b_stage.data();
-    } else {
-      b32 = b.data<float>();
-    }
-  }
-
-  if (kernel_kind() == KernelKind::kRef) {
-    // Reference: materialize f32 copies and run the ground-truth loop.
-    std::vector<float> a_ref, b_ref;
-    const float* pa = a32;
-    const float* pb = b32;
-    if (a16 != nullptr) {
-      a_ref.resize(static_cast<std::size_t>(m) * k);
-      half_to_float_n(a16, a_ref.data(), a_ref.size());
-      pa = a_ref.data();
-    }
-    if (b16 != nullptr) {
-      b_ref.resize(static_cast<std::size_t>(k) * n);
-      half_to_float_n(b16, b_ref.data(), b_ref.size());
-      pb = b_ref.data();
-    }
-    gemm_ref(pa, pb, out.data<float>(), m, k, n);
-    return out;
-  }
-
-  auto a_f32row = [a32, k](std::int64_t i, std::int64_t k0, std::int64_t len,
-                           float* dst) {
-    std::memcpy(dst, a32 + i * k + k0, static_cast<std::size_t>(len) *
-                                           sizeof(float));
-  };
-  auto a_f16row = [a16, k](std::int64_t i, std::int64_t k0, std::int64_t len,
-                           float* dst) {
-    half_to_float_n(a16 + i * k + k0, dst, static_cast<std::size_t>(len));
-  };
-  auto b_f32row = [b32, n](std::int64_t p, std::int64_t j0, std::int64_t len,
-                           float* dst) {
-    std::memcpy(dst, b32 + p * n + j0, static_cast<std::size_t>(len) *
-                                           sizeof(float));
-  };
-  auto b_f16row = [b16, n](std::int64_t p, std::int64_t j0, std::int64_t len,
-                           float* dst) {
-    half_to_float_n(b16 + p * n + j0, dst, static_cast<std::size_t>(len));
-  };
-  float* c = out.data<float>();
-  if (a16 != nullptr && b16 != nullptr) {
-    gemm_opt(m, k, n, ALoaded{a_f16row}, BLoaded{b_f16row}, c);
-  } else if (a16 != nullptr) {
-    gemm_opt(m, k, n, ALoaded{a_f16row}, BLoaded{b_f32row}, c);
-  } else if (b16 != nullptr) {
-    gemm_opt(m, k, n, ALoaded{a_f32row}, BLoaded{b_f16row}, c);
-  } else {
-    gemm_opt(m, k, n, ALoaded{a_f32row}, BLoaded{b_f32row}, c);
-  }
-  return out;
-}
-
 template <typename T>
 Tensor matmul_typed(const Tensor& a, const Tensor& b, bool trans_a,
                     bool trans_b) {
@@ -563,9 +522,56 @@ Tensor matmul_typed(const Tensor& a, const Tensor& b, bool trans_a,
   return out;
 }
 
+bool is_wire(const Tensor& t) {
+  return t.dtype() == DType::kF16 || t.dtype() == DType::kInt8Q;
+}
+
+/// matmul with a wire operand (f16, or i8q with its row parameters) and an
+/// f32 or wire partner; the result is f32. The optimized kernel converts
+/// each operand inside its packing stage, in every layout, so no f32 or
+/// transposed copy of a wire operand is made; the reference converts both
+/// operands first (Tensor::to) and runs the ground-truth loop.
+Tensor matmul_wire(const Tensor& a, const Tensor& b, bool trans_a,
+                   bool trans_b) {
+  for (const Tensor* t : {&a, &b}) {
+    if (!is_wire(*t) && t->dtype() != DType::kF32) {
+      throw std::runtime_error("matmul: a wire operand needs an f32 partner");
+    }
+    if (t->dtype() == DType::kInt8Q && !t->has_row_params()) {
+      throw std::invalid_argument("matmul: i8q operand needs its scale/zero");
+    }
+  }
+  if (kernel_kind() == KernelKind::kRef) {
+    return matmul_typed<float>(a.to(DType::kF32), b.to(DType::kF32), trans_a,
+                               trans_b);
+  }
+  const std::int64_t m = trans_a ? a.size(1) : a.size(0);
+  const std::int64_t k = trans_a ? a.size(0) : a.size(1);
+  const std::int64_t kb = trans_b ? b.size(1) : b.size(0);
+  const std::int64_t n = trans_b ? b.size(0) : b.size(1);
+  if (k != kb) {
+    throw std::runtime_error("matmul: inner dimension mismatch: " + a.str() +
+                             " x " + b.str());
+  }
+  Tensor out({m, n}, DType::kF32);
+  float* c = out.data<float>();
+  const RowRuns ra(a), rb(b);
+  if (trans_a && trans_b) {
+    gemm_opt(m, k, n, ALoadedT{ra}, BLoadedT{rb}, c);
+  } else if (trans_a) {
+    gemm_opt(m, k, n, ALoadedT{ra}, BLoaded{rb}, c);
+  } else if (trans_b) {
+    gemm_opt(m, k, n, ALoaded{ra}, BLoadedT{rb}, c);
+  } else {
+    gemm_opt(m, k, n, ALoaded{ra}, BLoaded{rb}, c);
+  }
+  return out;
+}
+
 /// y = epilogue(x0 w0ᵀ + x1 w1ᵀ) as one GEMM over K = K0 + K1 (x1/w1 null:
 /// the one-operand Linear). The optimized path packs A from [x0 | x1] and B
-/// from [w0 | w1]ᵀ through ConcatK, so no concatenated copy is made.
+/// from [w0 | w1]ᵀ through ConcatK, so no concatenated copy is made; an x1
+/// in a wire dtype (f32 GEMMs only) is converted as it is packed.
 template <typename T>
 Tensor gemm_epilogue_typed(const Tensor& x0, const Tensor& w0,
                            const Tensor* x1, const Tensor* w1,
@@ -615,7 +621,8 @@ Tensor gemm_epilogue_typed(const Tensor& x0, const Tensor& w0,
     // GEMM, then the same epilogue math in one serial elementwise pass (the
     // branch-select forms mirror gemm_microkernel_epi so ref and opt differ
     // only by GEMM association).
-    const Tensor xc = x1 != nullptr ? concat_cols({x0, *x1}) : x0;
+    const Tensor xc =
+        x1 != nullptr ? concat_cols({x0, x1->to(x0.dtype())}) : x0;
     const Tensor wc = w1 != nullptr ? concat_cols({w0, *w1}) : w0;
     std::vector<T> wt(static_cast<std::size_t>(k) * n);
     transpose_into(wc.data<T>(), wt.data(), n, k);
@@ -656,15 +663,24 @@ Tensor gemm_epilogue_typed(const Tensor& x0, const Tensor& w0,
   const BColsT<T> b0{w0.data<T>(), k0};
   if (x1 == nullptr) {
     gemm_opt(m, k, n, a0, b0, pc, pepi);
-  } else {
-    using namespace detail;
-    gemm_opt(m, k, n,
-             ConcatK<kGemmMR, ARows<T>, ARows<T>>{
-                 a0, ARows<T>{x1->data<T>(), k1}, k0},
-             ConcatK<kGemmNR<T>, BColsT<T>, BColsT<T>>{
-                 b0, BColsT<T>{w1->data<T>(), k1}, k0},
-             pc, pepi);
+    return out;
   }
+  using namespace detail;
+  const ConcatK<kGemmNR<T>, BColsT<T>, BColsT<T>> b{
+      b0, BColsT<T>{w1->data<T>(), k1}, k0};
+  if constexpr (std::is_same_v<T, float>) {
+    if (is_wire(*x1)) {
+      gemm_opt(m, k, n,
+               ConcatK<kGemmMR, ARows<T>, ALoaded>{
+                   a0, ALoaded{RowRuns(*x1)}, k0},
+               b, pc, pepi);
+      return out;
+    }
+  }
+  gemm_opt(m, k, n,
+           ConcatK<kGemmMR, ARows<T>, ARows<T>>{
+               a0, ARows<T>{x1->data<T>(), k1}, k0},
+           b, pc, pepi);
   return out;
 }
 
@@ -699,9 +715,15 @@ Tensor gemm_epilogue_cat(const Tensor& x0, const Tensor& w0, const Tensor& x1,
     if (t->dim() != 2) {
       throw std::runtime_error("gemm_epilogue_cat: operands must be 2-D");
     }
-    if (t->dtype() != x0.dtype()) {
+    const bool wire_x1 =
+        t == &x1 && is_wire(x1) && x0.dtype() == DType::kF32;
+    if (t->dtype() != x0.dtype() && !wire_x1) {
       throw std::runtime_error("gemm_epilogue_cat: dtype mismatch");
     }
+  }
+  if (x1.dtype() == DType::kInt8Q && !x1.has_row_params()) {
+    throw std::invalid_argument(
+        "gemm_epilogue_cat: i8q x1 needs its scale/zero");
   }
   switch (x0.dtype()) {
     case DType::kF32:
@@ -719,16 +741,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   if (a.dim() != 2 || b.dim() != 2) {
     throw std::runtime_error("matmul: both operands must be 2-D");
   }
-  // Mixed precision: any combination of f16/f32 operands runs through the
-  // decompress-in-pack path and yields f32 (the first-layer GEMM over a
-  // half-precision feature batch, plus its backward shapes).
-  const bool a_half = a.dtype() == DType::kF16;
-  const bool b_half = b.dtype() == DType::kF16;
-  if ((a_half || b_half) &&
-      (a_half || a.dtype() == DType::kF32) &&
-      (b_half || b.dtype() == DType::kF32)) {
-    return matmul_mixed(a, b, trans_a, trans_b);
-  }
+  // Wire rows (the first layer's GEMMs over a compressed feature batch,
+  // and its weight gradient) are converted as they are packed.
+  if (is_wire(a) || is_wire(b)) return matmul_wire(a, b, trans_a, trans_b);
   if (a.dtype() != b.dtype()) {
     throw std::runtime_error("matmul: dtype mismatch");
   }
@@ -740,53 +755,6 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
     default:
       throw std::runtime_error("matmul: float tensor required");
   }
-}
-
-Tensor matmul_compressed(const Tensor& a, const Tensor& a_scale,
-                         const Tensor& a_zero, const Tensor& b, bool trans_b) {
-  if (a.dim() != 2 || b.dim() != 2) {
-    throw std::runtime_error("matmul_compressed: operands must be 2-D");
-  }
-  if (a.dtype() != DType::kInt8Q) {
-    throw std::runtime_error("matmul_compressed: a must be i8q");
-  }
-  if (b.dtype() != DType::kF32) {
-    throw std::runtime_error("matmul_compressed: b must be f32");
-  }
-  const std::int64_t m = a.size(0);
-  const std::int64_t k = a.size(1);
-  if (a_scale.dtype() != DType::kF32 || a_zero.dtype() != DType::kF32 ||
-      a_scale.numel() != m || a_zero.numel() != m) {
-    throw std::runtime_error(
-        "matmul_compressed: a_scale/a_zero must be [M] f32");
-  }
-  const std::int64_t kb = trans_b ? b.size(1) : b.size(0);
-  const std::int64_t n = trans_b ? b.size(0) : b.size(1);
-  if (k != kb) {
-    throw std::runtime_error("matmul_compressed: inner dimension mismatch: " +
-                             a.str() + " x " + b.str());
-  }
-  if (kernel_kind() == KernelKind::kRef) {
-    // Reference path: reconstruct the f32 matrix and reuse the ground-truth
-    // pipeline (mixed matmul ref falls through to gemm_ref).
-    return matmul(dequantize_rows(a, a_scale, a_zero), b, false, trans_b);
-  }
-  Tensor out({m, n}, DType::kF32);
-  const std::int8_t* qa = a.data<std::int8_t>();
-  const float* scales = a_scale.data<float>();
-  const float* zeros = a_zero.data<float>();
-  auto a_qrow = [qa, scales, zeros, k](std::int64_t i, std::int64_t k0,
-                                       std::int64_t len, float* dst) {
-    dequantize_row(qa + i * k + k0, len, scales[i], zeros[i], dst);
-  };
-  const ALoaded<decltype(a_qrow)> pack_a{a_qrow};
-  float* pc = out.data<float>();
-  if (trans_b) {
-    gemm_opt(m, k, n, pack_a, BColsT<float>{b.data<float>(), k}, pc);
-  } else {
-    gemm_opt(m, k, n, pack_a, BCols<float>{b.data<float>(), n}, pc);
-  }
-  return out;
 }
 
 }  // namespace salient::ops

@@ -25,7 +25,10 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "tensor/buffer_pool.h"
 #include "tensor/kernel_config.h"
+#include "tensor/quantize.h"
+#include "util/half.h"
 
 namespace salient::ops {
 
@@ -763,18 +766,109 @@ CsrTranspose build_transpose(const std::vector<std::int64_t>& indptr,
   return t;
 }
 
+/// Device memory for aggregation outputs: a layer's aggregate has the same
+/// few sizes batch after batch, so it is reused instead of allocated and
+/// zero-filled on every call (tensor/buffer_pool.h). Buffers return when
+/// their last reference drops — the autograd tape may hold one past the call.
+BufferPool& aggregate_pool() {
+  static BufferPool pool;
+  return pool;
+}
+
+/// The source rows an aggregation reads, one row at a time: add_to(i, acc,
+/// stage) adds row i into the f32/f64 row `acc`. f32/f64 rows are read in
+/// place, and wire rows (f16, i8q) are converted per element exactly as
+/// Tensor::to(kF32) converts them — f16 in registers, i8q through a
+/// per-thread f32 stage.
+template <typename T>
+struct PlainRows {
+  const T* p;
+  std::int64_t f;
+  const void* addr(std::int64_t i) const { return p + i * f; }
+  void add_to(std::int64_t i, T* acc, T*) const {
+    const T* row = p + i * f;
+    for (std::int64_t j = 0; j < f; ++j) acc[j] += row[j];
+  }
+};
+
+struct HalfRows {
+  const Half* p;
+  std::int64_t f;
+  const void* addr(std::int64_t i) const { return p + i * f; }
+  void add_to(std::int64_t i, float* acc, float*) const {
+    half_to_float_add_n(p + i * f, acc, static_cast<std::size_t>(f));
+  }
+};
+
+struct QuantRows {
+  const std::int8_t* q;
+  const float* scale;
+  const float* zero;
+  std::int64_t f;
+  const void* addr(std::int64_t i) const { return q + i * f; }
+  void add_to(std::int64_t i, float* acc, float* stage) const {
+    dequantize_row(q + i * f, f, scale[i], zero[i], stage);
+    for (std::int64_t j = 0; j < f; ++j) acc[j] += stage[j];
+  }
+};
+
+/// The optimized SpMM forward: destination-row-block parallelism with a
+/// branch-free, vectorizable accumulate loop. Each output row is zeroed and
+/// then accumulated over its edges in CSR order, as the reference does, so
+/// the result matches it bitwise whatever the rows' storage type.
+template <bool Mean, typename T, typename Rows>
+void spmm_rows(const std::vector<std::int64_t>& indptr,
+               const std::vector<std::int64_t>& indices, const Rows& rows,
+               std::int64_t num_dst, std::int64_t f, T* po) {
+  const auto work =
+      static_cast<std::int64_t>(indices.size()) * std::max<std::int64_t>(f, 1);
+  // One add per gathered element — bandwidth-bound (the ROADMAP's "spmm
+  // mean/sum sit at <=1x" family), so the memory-bound grain applies.
+  parallel_for_n(
+      num_dst, work,
+      [&indptr, &indices, &rows, po, f](std::int64_t db, std::int64_t de) {
+        const std::int64_t* ip = indptr.data();
+        const std::int64_t* ix = indices.data();
+        std::vector<T> stage(static_cast<std::size_t>(f));
+        const std::int64_t chunk_end = ip[de];
+        for (std::int64_t d = db; d < de; ++d) {
+          const std::int64_t b = ip[d], e = ip[d + 1];
+          T* orow = po + d * f;
+          std::fill(orow, orow + f, T(0));
+          for (std::int64_t k = b; k < e; ++k) {
+            const std::int64_t pf = k + kPrefetchDist;
+            if (pf < chunk_end) prefetch_row_head(rows.addr(ix[pf]));
+            rows.add_to(ix[k], orow, stage.data());
+          }
+          if (Mean && e > b) {
+            const T inv = static_cast<T>(1.0 / static_cast<double>(e - b));
+            for (std::int64_t j = 0; j < f; ++j) orow[j] *= inv;
+          }
+        }
+      },
+      GrainClass::kMemoryBound);
+}
+
 template <bool Mean>
 Tensor spmm_impl(const std::vector<std::int64_t>& indptr,
                  const std::vector<std::int64_t>& indices, const Tensor& x,
                  std::int64_t num_dst, const char* name) {
-  check_float(x, name);
+  const bool wire = x.dtype() == DType::kF16 || x.dtype() == DType::kInt8Q;
+  if (!wire) check_float(x, name);
   if (x.dim() != 2) throw std::runtime_error(std::string(name) + ": x rank");
   if (static_cast<std::int64_t>(indptr.size()) != num_dst + 1) {
     throw std::runtime_error(std::string(name) + ": indptr size");
   }
+  if (x.dtype() == DType::kInt8Q && !x.has_row_params()) {
+    throw std::invalid_argument(std::string(name) +
+                                ": i8q rows need their scale/zero");
+  }
   const std::int64_t s = x.size(0), f = x.size(1);
-  Tensor out({num_dst, f}, x.dtype());
   if (kernel_kind() == KernelKind::kRef) {
+    // The ground truth: wire rows are converted first, then aggregated.
+    if (wire) return spmm_impl<Mean>(indptr, indices, x.to(DType::kF32),
+                                     num_dst, name);
+    Tensor out({num_dst, f}, x.dtype());
     auto run = [&](const auto* px, auto* po) {
       using T = std::remove_cv_t<std::remove_reference_t<decltype(px[0])>>;
       for (std::int64_t d = 0; d < num_dst; ++d) {
@@ -801,44 +895,30 @@ Tensor spmm_impl(const std::vector<std::int64_t>& indptr,
     }
     return out;
   }
-  // Optimized: validate up front, then destination-row-block parallelism
-  // with a branch-free, vectorizable accumulate loop. Per-row edge order is
-  // unchanged, so the result matches the reference bitwise.
+  // Optimized: validate up front, then accumulate into a pooled output
+  // that every row overwrites.
   check_source_indices(indices, s, name);
-  const auto work =
-      static_cast<std::int64_t>(indices.size()) * std::max<std::int64_t>(f, 1);
-  auto run = [&](const auto* px, auto* po) {
-    using T = std::remove_cv_t<std::remove_reference_t<decltype(px[0])>>;
-    // One add per gathered element — bandwidth-bound (the ROADMAP's "spmm
-    // mean/sum sit at <=1x" family), so the memory-bound grain applies.
-    parallel_for_n(
-        num_dst, work,
-        [&](std::int64_t db, std::int64_t de) {
-          const std::int64_t chunk_end = indptr[de];
-          for (std::int64_t d = db; d < de; ++d) {
-            const std::int64_t b = indptr[d], e = indptr[d + 1];
-            auto* orow = po + d * f;
-            for (std::int64_t k = b; k < e; ++k) {
-              const std::int64_t pf = k + kPrefetchDist;
-              if (pf < chunk_end) {
-                prefetch_row_head(px +
-                                  indices[static_cast<std::size_t>(pf)] * f);
-              }
-              const auto* row = px + indices[static_cast<std::size_t>(k)] * f;
-              for (std::int64_t j = 0; j < f; ++j) orow[j] += row[j];
-            }
-            if (Mean && e > b) {
-              const T inv = static_cast<T>(1.0 / static_cast<double>(e - b));
-              for (std::int64_t j = 0; j < f; ++j) orow[j] *= inv;
-            }
-          }
-        },
-        GrainClass::kMemoryBound);
-  };
-  if (x.dtype() == DType::kF32) {
-    run(x.data<float>(), out.data<float>());
-  } else {
-    run(x.data<double>(), out.data<double>());
+  Tensor out = aggregate_pool().acquire(
+      {num_dst, f}, x.dtype() == DType::kF64 ? DType::kF64 : DType::kF32);
+  switch (x.dtype()) {
+    case DType::kF64:
+      spmm_rows<Mean>(indptr, indices, PlainRows<double>{x.data<double>(), f},
+                      num_dst, f, out.data<double>());
+      break;
+    case DType::kF16:
+      spmm_rows<Mean>(indptr, indices, HalfRows{x.data<Half>(), f}, num_dst,
+                      f, out.data<float>());
+      break;
+    case DType::kInt8Q:
+      spmm_rows<Mean>(indptr, indices,
+                      QuantRows{x.data<std::int8_t>(),
+                                x.row_scale().data<float>(),
+                                x.row_zero().data<float>(), f},
+                      num_dst, f, out.data<float>());
+      break;
+    default:
+      spmm_rows<Mean>(indptr, indices, PlainRows<float>{x.data<float>(), f},
+                      num_dst, f, out.data<float>());
   }
   return out;
 }

@@ -129,10 +129,17 @@ Tensor relu_dropout_backward(const Tensor& g, const Tensor& y,
 
 /// out[d,:] = mean over e in [indptr[d], indptr[d+1]) of x[indices[e],:].
 /// Rows with no incoming edges yield zeros. x is [S,F]; result is [D,F].
+///
+/// x may hold wire rows — kF16, or kInt8Q carrying its row parameters
+/// (Tensor::with_row_params) — and the result is then f32: each neighbour
+/// row is converted as it is accumulated, with Tensor::to's conversion per
+/// element and the edge order unchanged, so the result is bitwise equal to
+/// aggregating the converted rows. The optimized kernel writes into a
+/// pooled buffer that it overwrites row by row (no zero-fill).
 Tensor spmm_mean(const std::vector<std::int64_t>& indptr,
                  const std::vector<std::int64_t>& indices, const Tensor& x,
                  std::int64_t num_dst);
-/// Same with sum instead of mean.
+/// Same with sum instead of mean (wire rows too).
 Tensor spmm_sum(const std::vector<std::int64_t>& indptr,
                 const std::vector<std::int64_t>& indices, const Tensor& x,
                 std::int64_t num_dst);
@@ -175,24 +182,15 @@ Tensor spmm_max_backward(const std::vector<std::int64_t>& argmax,
 /// A is [M,K] (or [K,M] when trans_a), B is [K,N] (or [N,K] when trans_b).
 ///
 /// Both operands f32 or both f64 give a same-dtype result. In addition,
-/// either operand (or both) may be kF16 while the other is kF32: the result
-/// is f32, and the optimized kernel decompresses the half-precision rows
-/// directly into its packing scratch (no f32 copy of the compressed operand
-/// materializes — the paper's compressed-feature hot path). The mixed
-/// product is bitwise identical to up-converting first, since f16 -> f32 is
-/// exact.
+/// either operand (or both) may hold wire rows — kF16, or kInt8Q carrying
+/// its row parameters (Tensor::with_row_params) — when the other is kF32 or
+/// wire: the result is f32, and the optimized kernel converts the wire rows
+/// inside its packing stage, in every layout, so no f32 or transposed copy
+/// of them is made (the first layer's GEMMs and weight gradient over a
+/// compressed feature batch). The conversion per element is Tensor::to's,
+/// so the product is bitwise equal to converting the operands first.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
-
-/// C = dequantize(A) * op(B) for a per-row affine int8-quantized A
-/// (tensor/quantize.h): A is [M,K] kInt8Q with [M] f32 scales/zero-points,
-/// B is f32 [K,N] (or [N,K] when trans_b), C is f32. The optimized kernel
-/// dequantizes A's rows inside the [kc][MR] packing stage, so the f32
-/// feature matrix never materializes; the reference kernel reconstructs it
-/// with dequantize_rows first (ground truth for the A/B tests).
-Tensor matmul_compressed(const Tensor& a, const Tensor& a_scale,
-                         const Tensor& a_zero, const Tensor& b,
-                         bool trans_b = false);
 
 /// Fused Linear forward: y = epilogue(x @ w^T), with x [M,K] and w [N,K]
 /// (the nn::Linear weight layout). The epilogue (tensor/epilogue.h) applies
@@ -225,8 +223,10 @@ Tensor gemm_epilogue(const Tensor& x, const Tensor& w, const Tensor& bias,
 /// over K = K0 + K1 whose packing reads [x0 | x1] and [w0 | w1] in place —
 /// no concatenated copy is made. This is GraphSAGE's conv (x0 the
 /// mean-aggregated neighbours, x1 the destination rows, which may be a
-/// narrow_rows view). `bias` may be undefined. No mask is written; a ReLU
-/// epilogue's backward reads it off the output (relu_dropout_backward).
+/// narrow_rows view). With f32 operands x1 may hold wire rows (f16, or i8q
+/// with its row parameters), converted as they are packed — bitwise equal
+/// to converting x1 first. `bias` may be undefined. No mask is written; a
+/// ReLU epilogue's backward reads it off the output (relu_dropout_backward).
 Tensor gemm_epilogue_cat(const Tensor& x0, const Tensor& w0, const Tensor& x1,
                          const Tensor& w1, const Tensor& bias,
                          Epilogue epilogue, double dropout_p,

@@ -176,7 +176,7 @@ Tensor quantize_rows(const Tensor& x, Tensor* scale_out, Tensor* zero_out) {
         }
       },
       GrainClass::kMemoryBound);
-  return q;
+  return q.with_row_params(*scale_out, *zero_out);
 }
 
 void quantize_row(const float* row, std::int64_t cols, std::int8_t* q,
@@ -195,6 +195,11 @@ void dequantize_row(const std::int8_t* q, std::int64_t cols, float scale,
   for (std::int64_t j = 0; j < cols; ++j) {
     out[j] = static_cast<float>(q[j] + 128) * scale + zero;
   }
+}
+
+std::size_t wire_row_bytes(DType dtype, std::int64_t cols) {
+  const auto bytes = static_cast<std::size_t>(cols) * dtype_size(dtype);
+  return dtype == DType::kInt8Q ? bytes + 2 * sizeof(float) : bytes;
 }
 
 Tensor dequantize_rows(const Tensor& q, const Tensor& scale,

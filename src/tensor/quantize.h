@@ -13,14 +13,17 @@
 /// is at most `scale/2 = (max - min) / 510`. A constant row quantizes with
 /// `scale = 0` and reconstructs exactly as its zero-point.
 ///
-/// These helpers are the only sanctioned way in or out of kInt8Q storage:
-/// generic Tensor::to() refuses the dtype because the codes are meaningless
-/// without their companion scale/zero tensors. The hot path never calls
-/// dequantize_rows on a full batch — the GEMM packing loader dequantizes
-/// rows directly into its packed panels (see tensor/matmul.cpp), so an F32
-/// copy of the feature matrix never materializes.
+/// These helpers are the only way into kInt8Q storage. The codes are
+/// meaningless without their scale/zero tensors, so an i8q tensor carries
+/// them (Tensor::with_row_params; quantize_rows' result does): Tensor::to()
+/// then dequantizes it, and nothing else converts. The hot path never
+/// dequantizes a full batch — the model's first layer reads the rows where
+/// it loads them: the aggregations dequantize each neighbour row as they
+/// accumulate and the GEMM packers each panel row (ops::spmm_mean,
+/// ops::matmul), so an f32 copy of the feature matrix never materializes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/tensor.h"
@@ -32,7 +35,8 @@ namespace salient::ops {
 /// \param x          `[rows, cols]` kF32 input.
 /// \param scale_out  Receives a `[rows]` kF32 tensor of per-row scales.
 /// \param zero_out   Receives a `[rows]` kF32 tensor of per-row zero-points.
-/// \return `[rows, cols]` DType::kInt8Q tensor of codes.
+/// \return `[rows, cols]` DType::kInt8Q tensor of codes, carrying the
+/// scale and zero-point tensors as its row parameters.
 ///
 /// Codes are computed as `round((x - zero) / scale) - 128`, clamped to
 /// [-128, 127]; rounding is round-half-away-from-zero (std::lround), which
@@ -75,9 +79,17 @@ void quantize_row(const float* row, std::int64_t cols, std::int8_t* q,
 /// \param out   Destination for `cols` floats; `out[j] = (q[j] + 128) *
 ///              scale + zero`.
 ///
-/// Building block for the dequantizing GEMM pack loader and for
-/// dequantize_rows.
+/// Building block of every i8q read: dequantize_rows, Tensor::to(), the
+/// aggregations' row loader and the GEMM packers.
 void dequantize_row(const std::int8_t* q, std::int64_t cols, float scale,
                     float zero, float* out);
+
+/// \brief Bytes one feature row of `cols` elements occupies in `dtype`.
+///
+/// `cols * dtype_size(dtype)`, plus the row's f32 scale and zero-point (8
+/// bytes) for kInt8Q: 4F for f32, 2F for f16, F + 8 for i8q. The unit of a
+/// feature cache's device memory (FeatureCache::device_bytes) and of the
+/// tools' `--cache-mb` sizing.
+std::size_t wire_row_bytes(DType dtype, std::int64_t cols);
 
 }  // namespace salient::ops

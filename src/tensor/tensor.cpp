@@ -8,9 +8,15 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "tensor/quantize.h"
 #include "util/rng.h"
 
 namespace salient {
+
+struct Tensor::RowParams {
+  Tensor scale;
+  Tensor zero;
+};
 
 namespace {
 
@@ -83,13 +89,58 @@ std::int64_t Tensor::row_stride() const {
 Tensor Tensor::clone(bool pinned) const {
   Tensor out(shape_, dtype_, pinned);
   std::memcpy(out.raw(), raw(), nbytes());
+  if (has_row_params()) {
+    return out.with_row_params(row_scale().clone(pinned),
+                               row_zero().clone(pinned));
+  }
   return out;
+}
+
+Tensor Tensor::with_row_params(const Tensor& scale, const Tensor& zero) const {
+  if (dtype_ != DType::kInt8Q || dim() != 2) {
+    throw std::invalid_argument("with_row_params: 2-D i8q tensor required");
+  }
+  for (const Tensor* p : {&scale, &zero}) {
+    if (!p->defined() || p->dtype() != DType::kF32 || p->dim() != 1 ||
+        p->size(0) != shape_[0]) {
+      throw std::invalid_argument(
+          "with_row_params: scale/zero must be [rows] f32");
+    }
+  }
+  Tensor out = *this;
+  out.params_ = std::make_shared<const RowParams>(RowParams{scale, zero});
+  out.params_row_ = 0;
+  return out;
+}
+
+Tensor Tensor::row_scale() const {
+  return params_ ? params_->scale.narrow_rows(params_row_, shape_[0])
+                 : Tensor();
+}
+
+Tensor Tensor::row_zero() const {
+  return params_ ? params_->zero.narrow_rows(params_row_, shape_[0])
+                 : Tensor();
 }
 
 Tensor Tensor::to(DType dtype) const {
   if (dtype == dtype_) return *this;
+  if (dtype_ == DType::kInt8Q) {
+    if (!has_row_params() || dim() != 2) {
+      throw std::runtime_error(
+          "to(): i8q needs its row scale/zero (with_row_params)");
+    }
+    const Tensor out = ops::dequantize_rows(*this, row_scale(), row_zero());
+    return out.to(dtype);
+  }
   Tensor out(shape_, dtype);
   const std::int64_t n = numel();
+  if (dtype_ == DType::kF16 && dtype == DType::kF32) {
+    // The bulk converter: bitwise the scalar loop below, vectorized.
+    half_to_float_n(data<Half>(), out.data<float>(),
+                    static_cast<std::size_t>(n));
+    return out;
+  }
   auto convert = [&](auto read) {
     switch (dtype) {
       case DType::kF16: {
@@ -143,8 +194,7 @@ Tensor Tensor::to(DType dtype) const {
       break;
     }
     case DType::kInt8Q:
-      throw std::runtime_error(
-          "to(): i8q requires per-row scale/zero; use ops::dequantize_rows");
+      break;  // converted above
   }
   return out;
 }
@@ -157,6 +207,7 @@ Tensor Tensor::narrow_rows(std::int64_t begin, std::int64_t len) const {
   Tensor out = *this;
   out.shape_[0] = len;
   out.offset_ = offset_ + begin * row_stride();
+  out.params_row_ = params_row_ + begin;
   return out;
 }
 
@@ -166,6 +217,8 @@ Tensor Tensor::reshape(std::vector<std::int64_t> new_shape) const {
   }
   Tensor out = *this;
   out.shape_ = std::move(new_shape);
+  out.params_ = nullptr;
+  out.params_row_ = 0;
   return out;
 }
 

@@ -6,7 +6,10 @@
 //     which preserves contiguity — exactly the pattern `x[:size]` used by the
 //     paper's model code (Appendix A);
 //   * storage is shared (copying a Tensor is O(1) and aliases memory);
-//   * `clone()` deep-copies, `to(dtype)` converts.
+//   * `clone()` deep-copies, `to(dtype)` converts;
+//   * a kInt8Q tensor may carry its per-row scale and zero-point
+//     (with_row_params), which makes it a self-contained feature matrix: the
+//     compressed wire rows the model's first layer reads (tensor/quantize.h).
 #pragma once
 
 #include <cstdint>
@@ -94,13 +97,31 @@ class Tensor {
   /// Deep copy (optionally into pinned memory).
   Tensor clone(bool pinned = false) const;
 
-  /// Dtype conversion; returns *this unchanged if dtype already matches.
+  /// Dtype conversion; returns *this unchanged if dtype already matches. A
+  /// kInt8Q tensor converts only when it carries its row parameters: each
+  /// row is dequantized as ops::dequantize_row does (then converted again
+  /// for a target other than f32). Nothing converts to kInt8Q.
   Tensor to(DType dtype) const;
+
+  /// A 2-D kInt8Q tensor's codes with their per-row dequantization
+  /// parameters attached: `scale` and `zero` are [rows] f32
+  /// (tensor/quantize.h), shared, not copied. narrow_rows() narrows them
+  /// with the codes and clone() copies them.
+  /// \throws std::invalid_argument when this is not a 2-D kInt8Q tensor or
+  /// scale/zero are not [rows] f32.
+  Tensor with_row_params(const Tensor& scale, const Tensor& zero) const;
+  /// Whether this kInt8Q tensor carries its row parameters.
+  bool has_row_params() const { return params_ != nullptr; }
+  /// [rows] f32 views of the attached scales and zero-points; undefined
+  /// without row parameters.
+  Tensor row_scale() const;
+  Tensor row_zero() const;
 
   /// Zero-copy view of rows [begin, begin+len) of a 1-D or 2-D tensor.
   Tensor narrow_rows(std::int64_t begin, std::int64_t len) const;
 
-  /// Zero-copy reshape (product of dims must equal numel()).
+  /// Zero-copy reshape (product of dims must equal numel()). Row parameters
+  /// are dropped.
   Tensor reshape(std::vector<std::int64_t> new_shape) const;
 
   /// Set every element to zero.
@@ -149,10 +170,15 @@ class Tensor {
   /// Elements per row (product of dims 1..rank).
   std::int64_t row_stride() const;
 
+  /// The row parameters of a kInt8Q tensor (two [rows] f32 tensors).
+  struct RowParams;
+
   StoragePtr storage_;
   DType dtype_ = DType::kF32;
   std::vector<std::int64_t> shape_;
   std::int64_t offset_ = 0;  // element offset into storage
+  std::shared_ptr<const RowParams> params_;  // kInt8Q only; may be null
+  std::int64_t params_row_ = 0;  // row of params_ that is this view's row 0
 };
 
 template <typename T>

@@ -57,7 +57,7 @@ Trainer::Trainer(const Dataset& dataset, std::shared_ptr<nn::GnnModel> model,
     policy.batch_size = config_.loader.batch_size;
     policy.seed = config_.loader.seed;
     cache_ = std::make_shared<const FeatureCache>(dataset_, cache_nodes,
-                                                  policy);
+                                                  policy, store_->rows);
   }
 }
 

@@ -208,4 +208,15 @@ void half_to_float_n(const Half* src, float* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = half_to_float(src[i]);
 }
 
+void detail::half_to_float_add_n_bulk(const Half* src, float* dst,
+                                      std::size_t n) {
+  constexpr std::size_t kBlock = 64;
+  float buf[kBlock];
+  for (std::size_t i = 0; i < n; i += kBlock) {
+    const std::size_t m = n - i < kBlock ? n - i : kBlock;
+    half_to_float_n(src + i, buf, m);
+    for (std::size_t j = 0; j < m; ++j) dst[i + j] += buf[j];
+  }
+}
+
 }  // namespace salient

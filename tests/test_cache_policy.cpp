@@ -311,19 +311,14 @@ TEST(LruPolicy, ColdStartThenRepeatBatchAllHits) {
   EXPECT_DOUBLE_EQ(first.hit_rate(), 0.0);  // everything misses, all admitted
   const CachePlan second = plan_cached_batch(mfg, cache);
   EXPECT_DOUBLE_EQ(second.hit_rate(), 1.0);  // repeat batch: all hits
-  // The hit-row snapshot carries the actual feature data.
+  // The hit-row snapshot carries the store's rows, in the store's dtype.
   ASSERT_TRUE(second.hit_rows.defined());
-  const Tensor want = [&] {
-    Tensor h({static_cast<std::int64_t>(mfg.n_ids.size()), ds.feature_dim},
-             DType::kF16);
-    slice_rows_serial(ds.features, mfg.n_ids, h);
-    return h.to(DType::kF32);
-  }();
+  ASSERT_EQ(second.hit_rows.dtype(), ds.features.dtype());
   for (std::size_t i = 0; i < mfg.n_ids.size(); ++i) {
     const std::int64_t row = second.source[i];
     for (std::int64_t j = 0; j < ds.feature_dim; ++j) {
-      ASSERT_EQ(second.hit_rows.at<float>(row, j),
-                want.at<float>(static_cast<std::int64_t>(i), j));
+      ASSERT_EQ(second.hit_rows.at<Half>(row, j).bits,
+                ds.features.at<Half>(mfg.n_ids[i], j).bits);
     }
   }
 }

@@ -1,7 +1,8 @@
 // Device-simulator tests: stream FIFO ordering, event semantics,
 // cross-stream synchronization, DMA data integrity + bandwidth modelling,
-// full PreparedBatch transfer correctness (f16 -> f32 conversion), and the
-// wire -> f32 feature assembly against the convert-then-scatter it replaced.
+// full PreparedBatch transfer correctness (the wire rows arrive as they
+// left), the cached input-row gather against the store's rows, and the
+// device pool's reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,14 +191,10 @@ TEST(DeviceSim, BlockingTransferDeliversExactData) {
     EXPECT_EQ(*d.mfg.levels[i].indptr, *batch.mfg.levels[i].indptr);
     EXPECT_EQ(*d.mfg.levels[i].indices, *batch.mfg.levels[i].indices);
   }
-  // features converted to f32 on the compute stream
-  ASSERT_EQ(d.x_f32.dtype(), DType::kF32);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    for (std::int64_t j = 0; j < ds.feature_dim; ++j) {
-      EXPECT_FLOAT_EQ(d.x_f32.at<float>(i, j),
-                      half_to_float(batch.x.at<Half>(i, j)));
-    }
-  }
+  // the model's input is the transferred f16 rows themselves: no f32 copy
+  ASSERT_EQ(d.x_f32.dtype(), DType::kF16);
+  ASSERT_EQ(d.x_f32.shape(), batch.x.shape());
+  EXPECT_EQ(std::memcmp(d.x_f32.raw(), batch.x.raw(), batch.x.nbytes()), 0);
   // labels copied
   EXPECT_TRUE(allclose(d.y, batch.y.clone()));
   EXPECT_GT(dev.dma().bytes_transferred(), 0u);
@@ -260,53 +257,54 @@ TEST(DeviceSim, PipelinedTransfersOverlapWithCompute) {
   dev.compute_stream().synchronize();
 }
 
-// --- wire -> f32 feature assembly --------------------------------------------
+// --- cached input-row gather ---------------------------------------------------
 
-/// Reference assembly: convert every transferred wire row to an f32
-/// temporary first, then scatter the cache hits and the converted misses
-/// by the plan.
-Tensor convert_then_scatter(const PreparedBatch& b, const CachePlan* plan,
-                            const Tensor& cache_rows) {
-  const std::int64_t f = b.x.size(1);
-  Tensor wire_f32(b.x.shape(), DType::kF32);
-  switch (b.x.dtype()) {
-    case DType::kF16:
-      half_to_float_n(b.x.data<Half>(), wire_f32.data<float>(),
-                      static_cast<std::size_t>(b.x.numel()));
-      break;
-    case DType::kF32:
-      std::memcpy(wire_f32.raw(), b.x.raw(), b.x.nbytes());
-      break;
-    default:
-      for (std::int64_t i = 0; i < b.x.size(0); ++i) {
-        ops::dequantize_row(b.x.data<std::int8_t>() + i * f, f,
-                            b.x_scale.data<float>()[i],
-                            b.x_zero.data<float>()[i],
-                            wire_f32.data<float>() + i * f);
-      }
-  }
-  if (plan == nullptr) return wire_f32;
-  const Tensor& hits =
-      plan->hit_rows.defined() ? plan->hit_rows : cache_rows;
-  const auto n = static_cast<std::int64_t>(plan->from_cache.size());
-  Tensor out({n, f}, DType::kF32);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const Tensor& src = plan->from_cache[idx] ? hits : wire_f32;
-    std::memcpy(out.data<float>() + i * f,
-                src.data<float>() + plan->source[idx] * f,
-                static_cast<std::size_t>(f) * sizeof(float));
-  }
+/// An [n, cols] matrix of `dtype`; an i8q one carries row scale/zero.
+Tensor wire_rows(DType dtype, std::int64_t n, std::int64_t cols) {
+  Tensor out({n, cols}, dtype);
+  if (dtype != DType::kInt8Q) return out;
+  return out.with_row_params(Tensor({n}, DType::kF32),
+                             Tensor({n}, DType::kF32));
+}
+
+/// Rows `ids` of `src` (with their scale/zero).
+Tensor gather(const Tensor& src, const std::vector<NodeId>& ids) {
+  Tensor out =
+      wire_rows(src.dtype(), static_cast<std::int64_t>(ids.size()),
+                src.size(1));
+  slice_rows_serial(src, ids, out);
   return out;
+}
+
+/// The device rows of a staged batch: its wire rows carrying its sidecars.
+Tensor staged_rows(const PreparedBatch& b) {
+  return b.x_scale.defined() ? b.x.with_row_params(b.x_scale, b.x_zero)
+                             : b.x;
 }
 
 void expect_bitwise_equal(const Tensor& got, const Tensor& want,
                           const char* what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
+  ASSERT_EQ(got.dtype(), want.dtype()) << what;
   EXPECT_EQ(std::memcmp(got.raw(), want.raw(), want.nbytes()), 0) << what;
+  ASSERT_EQ(got.has_row_params(), want.has_row_params()) << what;
+  if (want.has_row_params()) {
+    EXPECT_EQ(std::memcmp(got.row_scale().raw(), want.row_scale().raw(),
+                          want.row_scale().nbytes()),
+              0)
+        << what << " scale";
+    EXPECT_EQ(std::memcmp(got.row_zero().raw(), want.row_zero().raw(),
+                          want.row_zero().nbytes()),
+              0)
+        << what << " zero";
+  }
 }
 
 TEST(AssembleFeatures, BitwiseEqualsConvertThenScatter) {
+  // The device input of a cached batch is the wire store's rows of its
+  // input nodes — cache hits from the cache's copy of the store, misses
+  // from the transferred rows — for every wire dtype, plan kind and kernel
+  // pool size.
   const Dataset& ds = dev_dataset();
   FastSampler sampler(ds.graph, {4, 3});
   std::vector<NodeId> seeds(ds.train_idx.begin(), ds.train_idx.begin() + 64);
@@ -320,104 +318,131 @@ TEST(AssembleFeatures, BitwiseEqualsConvertThenScatter) {
   };
   PinnedPool pool;
   DeviceSim dev;
-  for (const DType wire : {DType::kF16, DType::kF32, DType::kInt8Q}) {
-    // Fresh caches per wire: planning admits into the LRU cache.
-    const std::vector<Case> cases{
-        {"no plan", nullptr},
-        {"static, mixed", std::make_shared<FeatureCache>(ds, 300)},
-        {"dynamic, mixed", std::make_shared<FeatureCache>(ds, all, lru)},
-        {"all hits", std::make_shared<FeatureCache>(ds, all)},
-        {"all misses", std::make_shared<FeatureCache>(ds, 0)},
-    };
-    for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(dtype_name(wire)) + ", " + c.name);
-      std::shared_ptr<const CachePlan> plan;
-      if (c.cache) {
-        if (c.cache->dynamic_policy()) {
-          // Admit half the input set first, so the plan mixes snapshot hits
-          // with misses.
-          Mfg warm;
-          warm.n_ids.assign(mfg.n_ids.begin(),
-                            mfg.n_ids.begin() + static_cast<std::ptrdiff_t>(
-                                                    mfg.n_ids.size() / 2));
-          (void)plan_cached_batch(warm, *c.cache);
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    ThreadPool kernels(threads);
+    ops::set_kernel_pool(&kernels);
+    for (const DType wire : {DType::kF16, DType::kF32, DType::kInt8Q}) {
+      const auto store = make_wire_store(ds.features, wire);
+      const Tensor want = gather(store->rows, mfg.n_ids);
+      // Fresh caches per wire: planning admits into the LRU cache.
+      const CachePolicyConfig degree;
+      const std::vector<Case> cases{
+          {"no plan", nullptr},
+          {"static, mixed",
+           std::make_shared<FeatureCache>(ds, 300, degree, store->rows)},
+          {"dynamic, mixed",
+           std::make_shared<FeatureCache>(ds, all, lru, store->rows)},
+          {"all hits",
+           std::make_shared<FeatureCache>(ds, all, degree, store->rows)},
+          {"all misses",
+           std::make_shared<FeatureCache>(ds, 0, degree, store->rows)},
+      };
+      for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(dtype_name(wire)) + ", " + c.name + ", " +
+                     std::to_string(threads) + " threads");
+        std::shared_ptr<const CachePlan> plan;
+        if (c.cache) {
+          ASSERT_EQ(c.cache->dtype(), wire);
+          if (c.cache->dynamic_policy()) {
+            // Admit half the input set first, so the plan mixes snapshot
+            // hits with misses.
+            Mfg warm;
+            warm.n_ids.assign(mfg.n_ids.begin(),
+                              mfg.n_ids.begin() + static_cast<std::ptrdiff_t>(
+                                                      mfg.n_ids.size() / 2));
+            (void)plan_cached_batch(warm, *c.cache);
+          }
+          plan = std::make_shared<CachePlan>(plan_cached_batch(mfg, *c.cache));
         }
-        plan = std::make_shared<CachePlan>(plan_cached_batch(mfg, *c.cache));
+        PreparedBatch b;
+        b.mfg = mfg;
+        stage_feature_rows(ds.features,
+                           plan ? missing_node_ids(mfg, *plan) : mfg.n_ids,
+                           wire, pool, b);
+        b.y = pool.acquire({mfg.batch_size}, DType::kI64);
+        slice_labels(ds.labels,
+                     {mfg.n_ids.data(),
+                      static_cast<std::size_t>(mfg.batch_size)},
+                     b.y);
+        if (plan) {
+          Tensor direct = wire_rows(wire, want.size(0), want.size(1));
+          assemble_features(staged_rows(b), *plan, c.cache->features(),
+                            direct);
+          expect_bitwise_equal(direct, want, "assemble_features");
+        }
+        const DeviceBatch d =
+            plan ? dev.transfer_batch_cached(b, *plan, *c.cache, true, nullptr)
+                 : dev.transfer_batch(b, true, nullptr);
+        expect_bitwise_equal(d.x_f32, want, "device transfer");
+        if (plan && std::string(c.name) == "all hits") {
+          EXPECT_EQ(plan->num_missing, 0);
+        } else if (plan && std::string(c.name) == "all misses") {
+          EXPECT_EQ(plan->num_missing,
+                    static_cast<std::int64_t>(mfg.n_ids.size()));
+        } else if (plan) {
+          EXPECT_GT(plan->num_missing, 0);
+          EXPECT_GT(plan->hit_rate(), 0.0);
+        }
+        release_batch_buffers(pool, std::move(b));
       }
-      PreparedBatch b;
-      b.mfg = mfg;
-      stage_feature_rows(ds.features,
-                         plan ? missing_node_ids(mfg, *plan) : mfg.n_ids,
-                         wire, pool, b);
-      b.y = pool.acquire({mfg.batch_size}, DType::kI64);
-      slice_labels(ds.labels,
-                   {mfg.n_ids.data(), static_cast<std::size_t>(mfg.batch_size)},
-                   b.y);
-      const Tensor cache_rows = c.cache ? c.cache->features() : Tensor();
-      const Tensor want = convert_then_scatter(b, plan.get(), cache_rows);
-
-      Tensor direct(want.shape(), DType::kF32);
-      assemble_features(b.x, b.x_scale, b.x_zero, plan.get(), cache_rows,
-                        direct);
-      expect_bitwise_equal(direct, want, "assemble_features");
-      const DeviceBatch d =
-          plan ? dev.transfer_batch_cached(b, *plan, *c.cache, true, nullptr)
-               : dev.transfer_batch(b, true, nullptr);
-      expect_bitwise_equal(d.x_f32, want, "device transfer");
-      if (plan && std::string(c.name) == "all hits") {
-        EXPECT_EQ(plan->num_missing, 0);
-      } else if (plan && std::string(c.name) == "all misses") {
-        EXPECT_EQ(plan->num_missing, static_cast<std::int64_t>(
-                                         mfg.n_ids.size()));
-      } else if (plan) {
-        EXPECT_GT(plan->num_missing, 0);
-        EXPECT_GT(plan->hit_rate(), 0.0);
-      }
-      release_batch_buffers(pool, std::move(b));
     }
+    ops::set_kernel_pool(nullptr);
   }
 
-  // Plans above the memory-bound grain (2^24 elements), where assembly may
-  // split its rows across the kernel pool (four workers here, whatever the
-  // host): a static plan reading the cache's resident rows and a dynamic
-  // one reading its hit-row snapshot, a third of the rows missing.
+  // Plans above the memory-bound grain (2^24 elements), where the gather
+  // may split its rows across the kernel pool: a static plan reading a
+  // resident copy of 500 store rows and a dynamic one reading a hit-row
+  // snapshot, a third of the rows missing. Input row i is store row
+  // node[i] either way.
   constexpr std::int64_t kF = 16;
   const std::int64_t n = ops::kMemoryBoundGrain / kF + 333;
-  const Tensor store = Tensor::uniform({4096, kF}, 31, -2, 2);
-  const Tensor resident = Tensor::uniform({500, kF}, 32, -2, 2);
-  ThreadPool kernels(4);
-  ops::set_kernel_pool(&kernels);
+  const Tensor features = Tensor::uniform({4096, kF}, 31, -2, 2);
   for (const bool dynamic : {false, true}) {
     CachePlan plan;
-    std::vector<NodeId> missing;
+    std::vector<NodeId> node, missing, hit_nodes, resident_nodes;
     Xoshiro256ss rng(dynamic ? 41 : 42);
-    std::int64_t hits = 0;
+    for (int s = 0; s < 500; ++s) {
+      resident_nodes.push_back(static_cast<NodeId>(bounded_rand(rng, 4096)));
+    }
     for (std::int64_t i = 0; i < n; ++i) {
       const bool hit = bounded_rand(rng, 3) != 0;
       plan.from_cache.push_back(hit ? 1 : 0);
-      if (hit) {
-        plan.source.push_back(
-            dynamic ? hits : static_cast<std::int64_t>(bounded_rand(rng, 500)));
-        ++hits;
+      if (hit && dynamic) {
+        node.push_back(static_cast<NodeId>(bounded_rand(rng, 4096)));
+        plan.source.push_back(static_cast<std::int64_t>(hit_nodes.size()));
+        hit_nodes.push_back(node.back());
+      } else if (hit) {
+        const auto slot = static_cast<std::int64_t>(bounded_rand(rng, 500));
+        node.push_back(resident_nodes[static_cast<std::size_t>(slot)]);
+        plan.source.push_back(slot);
       } else {
+        node.push_back(static_cast<NodeId>(bounded_rand(rng, 4096)));
         plan.source.push_back(plan.num_missing++);
-        missing.push_back(static_cast<NodeId>(bounded_rand(rng, 4096)));
+        missing.push_back(node.back());
       }
     }
-    if (dynamic) plan.hit_rows = Tensor::uniform({hits, kF}, 33, -2, 2);
     for (const DType wire : {DType::kF16, DType::kF32, DType::kInt8Q}) {
-      SCOPED_TRACE(std::string(dtype_name(wire)) + ", " +
-                   (dynamic ? "dynamic" : "static") + ", above the grain");
+      const auto store = make_wire_store(features, wire);
+      if (dynamic) plan.hit_rows = gather(store->rows, hit_nodes);
+      const Tensor resident = gather(store->rows, resident_nodes);
+      const Tensor want = gather(store->rows, node);
       PreparedBatch b;
-      stage_feature_rows(store, missing, wire, pool, b);
-      const Tensor want = convert_then_scatter(b, &plan, resident);
-      Tensor direct(want.shape(), DType::kF32);
-      assemble_features(b.x, b.x_scale, b.x_zero, &plan, resident, direct);
-      expect_bitwise_equal(direct, want, "assemble_features");
+      stage_feature_rows(features, missing, wire, pool, b);
+      for (const std::size_t threads : {1u, 4u, 8u}) {
+        SCOPED_TRACE(std::string(dtype_name(wire)) + ", " +
+                     (dynamic ? "dynamic" : "static") +
+                     ", above the grain, " + std::to_string(threads) +
+                     " threads");
+        ThreadPool kernels(threads);
+        ops::set_kernel_pool(&kernels);
+        Tensor direct = wire_rows(wire, n, kF);
+        assemble_features(staged_rows(b), plan, resident, direct);
+        expect_bitwise_equal(direct, want, "assemble_features");
+        ops::set_kernel_pool(nullptr);
+      }
       release_batch_buffers(pool, std::move(b));
     }
   }
-  ops::set_kernel_pool(nullptr);
 }
 
 TEST(DevicePool, TransfersReuseOnlyReleasedBuffersAndOverwriteThem) {
@@ -428,7 +453,9 @@ TEST(DevicePool, TransfersReuseOnlyReleasedBuffersAndOverwriteThem) {
   const std::vector<NodeId> seeds(ds.train_idx.begin(),
                                   ds.train_idx.begin() + 64);
   const Mfg mfg = sampler.sample(seeds, 23);
-  const auto cache = std::make_shared<FeatureCache>(ds, 300);
+  const auto store = make_wire_store(ds.features, DType::kInt8Q);
+  const auto cache = std::make_shared<FeatureCache>(
+      ds, 300, CachePolicyConfig{}, store->rows);
   const CachePlan plan = plan_cached_batch(mfg, *cache);
   PinnedPool staging;
   PreparedBatch b;
@@ -439,7 +466,7 @@ TEST(DevicePool, TransfersReuseOnlyReleasedBuffersAndOverwriteThem) {
   slice_labels(ds.labels,
                {mfg.n_ids.data(), static_cast<std::size_t>(mfg.batch_size)},
                b.y);
-  const Tensor want = convert_then_scatter(b, &plan, cache->features());
+  const Tensor want = gather(store->rows, mfg.n_ids);
 
   DeviceSim dev;
   const BufferPool& pool = dev.pool();
@@ -457,9 +484,12 @@ TEST(DevicePool, TransfersReuseOnlyReleasedBuffersAndOverwriteThem) {
       EXPECT_EQ(*d.mfg.levels[i].indices, *mfg.levels[i].indices);
     }
   };
-  // Poison every buffer the batch holds: NaN features, sentinel ids.
+  // Poison every buffer the batch holds: code bytes and NaN row scale and
+  // zero, sentinel ids.
   auto poison = [](DeviceBatch& d) {
-    d.x_f32.fill_(std::nan(""));
+    std::memset(d.x_f32.raw(), 0x5a, d.x_f32.nbytes());
+    d.x_f32.row_scale().fill_(std::nan(""));
+    d.x_f32.row_zero().fill_(std::nan(""));
     std::fill_n(d.y.data<std::int64_t>(), d.y.numel(), INT64_MIN);
     for (const MfgLevel& l : d.mfg.levels) {
       for (const auto& ids : {l.indptr, l.indices}) {
@@ -500,15 +530,51 @@ TEST(DevicePool, TransfersReuseOnlyReleasedBuffersAndOverwriteThem) {
               held.mfg.levels[i].indices->data());
   }
   EXPECT_GT(pool.alloc_count(), allocs);
+
+  // Batch to batch, a role's buffer varies by a few percent. Requests drawn
+  // within ±3% of a mean, two live at a time as in a pipelined run, stop
+  // missing after a warm-up: a miss allocates with headroom.
+  BufferPool sized;
+  Xoshiro256ss rng(61);
+  constexpr std::int64_t kMean = 1'000'000;  // floats: ~4 MB per request
+  auto draw = [&] {
+    return kMean - kMean * 3 / 100 +
+           static_cast<std::int64_t>(bounded_rand(rng, kMean * 6 / 100 + 1));
+  };
+  Tensor live = sized.acquire({draw()}, DType::kF32);
+  for (int r = 0; r < 20; ++r) {
+    live = sized.acquire({draw()}, DType::kF32);
+  }
+  const std::size_t warm = sized.alloc_count();
+  for (int r = 0; r < 200; ++r) {
+    live = sized.acquire({draw()}, DType::kF32);
+  }
+  EXPECT_EQ(sized.alloc_count(), warm) << "misses after the warm-up";
+  EXPECT_LE(sized.allocated_bytes(), sized.live_high_water());
 }
 
 TEST(AssembleFeatures, RejectsUnknownWireAndMissingSidecars) {
+  CachePlan plan;
+  plan.from_cache = {0, 0};
+  plan.source = {0, 1};
+  plan.num_missing = 2;
   Tensor out({2, 4}, DType::kF32);
-  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kI64), Tensor(),
-                                 Tensor(), nullptr, Tensor(), out),
+  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kI64), plan, Tensor(),
+                                 out),
                std::invalid_argument);
-  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kInt8Q), Tensor(),
-                                 Tensor(), nullptr, Tensor(), out),
+  Tensor out_q({2, 4}, DType::kInt8Q);
+  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kInt8Q), plan,
+                                 Tensor(), out_q),
+               std::invalid_argument);
+  // One wire dtype throughout: f16 rows cannot fill an f32 input.
+  EXPECT_THROW(assemble_features(Tensor({2, 4}, DType::kF16), plan, Tensor(),
+                                 out),
+               std::invalid_argument);
+  // A plan with hits needs hit rows.
+  plan.from_cache = {1, 0};
+  plan.num_missing = 1;
+  EXPECT_THROW(assemble_features(Tensor({1, 4}, DType::kF32), plan, Tensor(),
+                                 out),
                std::invalid_argument);
 }
 

@@ -8,6 +8,7 @@
 
 #include "device/device_sim.h"
 #include "prep/feature_cache.h"
+#include "tensor/quantize.h"
 #include "graph/partition.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
@@ -41,17 +42,24 @@ TEST(FeatureCache, CachesHighestDegreeNodesExactly) {
   FeatureCache cache(ds, 500);
   EXPECT_EQ(cache.capacity(), 500);
   EXPECT_EQ(cache.features().size(0), 500);
-  EXPECT_EQ(cache.features().dtype(), DType::kF32);
+  // The cache holds the store's rows in their own dtype (f16 here), 2F
+  // bytes each.
+  EXPECT_EQ(cache.features().dtype(), DType::kF16);
+  EXPECT_EQ(cache.dtype(), DType::kF16);
+  EXPECT_EQ(cache.device_bytes(),
+            500u * ops::wire_row_bytes(DType::kF16, ds.feature_dim));
+  EXPECT_EQ(ops::wire_row_bytes(DType::kF16, ds.feature_dim),
+            static_cast<std::size_t>(2 * ds.feature_dim));
   // Every cached node's degree >= every uncached node's degree (allowing
-  // ties at the boundary), and cached features match the host store.
+  // ties at the boundary), and cached rows equal the host store's bits.
   std::int64_t min_cached_degree = 1 << 30;
   for (NodeId v = 0; v < ds.graph.num_nodes(); ++v) {
     const std::int64_t slot = cache.slot_of(v);
     if (slot < 0) continue;
     min_cached_degree = std::min(min_cached_degree, ds.graph.degree(v));
     for (std::int64_t j = 0; j < ds.feature_dim; ++j) {
-      EXPECT_FLOAT_EQ(cache.features().at<float>(slot, j),
-                      half_to_float(ds.features.at<Half>(v, j)));
+      EXPECT_EQ(cache.features().at<Half>(slot, j).bits,
+                ds.features.at<Half>(v, j).bits);
     }
   }
   std::int64_t violations = 0;

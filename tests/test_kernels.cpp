@@ -223,6 +223,25 @@ TEST(Spmm, ForwardAndBackwardRefVsOptBitwise) {
       EXPECT_TRUE(bitwise_equal(gmax_ref, gmax_opt));
     }
   }
+  // Wire rows (f16, i8q with its row scale/zero): each neighbour row is
+  // converted as it is accumulated. The reference converts first, so
+  // ref-vs-opt equality is equality with aggregating the converted rows.
+  const Tensor x32 = Tensor::uniform({c.num_src, 64}, 44, -1, 1);
+  Tensor scale, zero;
+  for (const Tensor& xw :
+       {x32.to(DType::kF16), ops::quantize_rows(x32, &scale, &zero)}) {
+    const Tensor conv = xw.to(DType::kF32);
+    expect_ref_opt_bitwise(
+        [&] { return ops::spmm_mean(indptr, indices, xw, c.num_dst); },
+        "spmm_mean (wire rows)");
+    expect_ref_opt_bitwise(
+        [&] { return ops::spmm_sum(indptr, indices, xw, c.num_dst); },
+        "spmm_sum (wire rows)");
+    EXPECT_TRUE(bitwise_equal(ops::spmm_mean(indptr, indices, xw, c.num_dst),
+                              ops::spmm_mean(indptr, indices, conv,
+                                             c.num_dst)))
+        << dtype_name(xw.dtype());
+  }
 }
 
 TEST(Spmm, EdgeCases) {
@@ -544,6 +563,24 @@ TEST(FusedEpilogue, ConcatKBitwiseMatchesMaterializedConcat) {
           EXPECT_TRUE(bitwise_equal(want, got))
               << "kind=" << static_cast<int>(kind) << " bias=" << with_bias
               << " kernel=" << static_cast<int>(kk) << " threads=" << threads;
+          // x1 as wire rows (a view of a larger f16 / i8q matrix, as layer
+          // 0's destination rows are): converted in the packer, bitwise the
+          // GEMM over the converted concatenation.
+          Tensor scale, zero;
+          for (const Tensor& x1w_full :
+               {x1_full.to(DType::kF16),
+                ops::quantize_rows(x1_full, &scale, &zero)}) {
+            const Tensor x1w = x1w_full.narrow_rows(0, 301);
+            const Tensor want_w = ops::gemm_epilogue(
+                ops::concat_cols({x0, x1w.to(DType::kF32)}), wcat, b, kind,
+                0.3, 0xc0, nullptr);
+            const Tensor got_w =
+                ops::gemm_epilogue_cat(x0, w0, x1w, w1, b, kind, 0.3, 0xc0);
+            EXPECT_TRUE(bitwise_equal(want_w, got_w))
+                << dtype_name(x1w.dtype()) << " kind=" << static_cast<int>(kind)
+                << " kernel=" << static_cast<int>(kk)
+                << " threads=" << threads;
+          }
         }
       }
     }
@@ -608,40 +645,44 @@ TEST(ActDropout, BitwiseMatchesActivationThenCounterMask) {
 // --- mixed-precision + compressed GEMM (tensor/quantize.h) -------------------
 
 TEST(MixedMatmul, F16OperandsBitwiseMatchUpconvert) {
+  // Wire operands — f16, or i8q with its row scale/zero — against f32 or
+  // wire partners, in every layout: the packers convert each operand as
+  // they pack it, bitwise the product of the converted operands.
   KernelGuard guard;
+  Tensor scale, zero;
+  auto wires = [&](const Tensor& x32) {
+    return std::vector<Tensor>{x32, x32.to(DType::kF16),
+                               ops::quantize_rows(x32, &scale, &zero)};
+  };
   const Tensor a32 = Tensor::uniform({85, 50}, 131, -1, 1);
+  const Tensor at32 = Tensor::uniform({50, 85}, 134, -1, 1);
   const Tensor b32 = Tensor::uniform({50, 67}, 132, -1, 1);
-  const Tensor a16 = a32.to(DType::kF16);
-  const Tensor b16 = b32.to(DType::kF16);
-  const Tensor a16up = a16.to(DType::kF32);
-  const Tensor b16up = b16.to(DType::kF32);
-  struct Case {
-    Tensor a, b, ua, ub;
-    const char* what;
-  };
-  const Case cases[] = {
-      {a16, b32, a16up, b32, "f16 x f32"},
-      {a32, b16, a32, b16up, "f32 x f16"},
-      {a16, b16, a16up, b16up, "f16 x f16"},
-  };
+  const Tensor bt32 = Tensor::uniform({67, 50}, 133, -1, 1);
   for (const ops::KernelKind kk :
        {ops::KernelKind::kRef, ops::KernelKind::kOpt}) {
     for (const std::size_t threads : {1u, 4u}) {
       ThreadPool pool(threads);
       guard.use(kk, &pool);
-      for (const Case& c : cases) {
-        const Tensor mixed = ops::matmul(c.a, c.b);
-        const Tensor up = ops::matmul(c.ua, c.ub);
-        EXPECT_EQ(mixed.dtype(), DType::kF32);
-        EXPECT_TRUE(bitwise_equal(mixed, up))
-            << c.what << " kernel=" << static_cast<int>(kk)
-            << " threads=" << threads;
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          for (const Tensor& a : wires(ta ? at32 : a32)) {
+            for (const Tensor& b : wires(tb ? bt32 : b32)) {
+              if (a.dtype() == DType::kF32 && b.dtype() == DType::kF32) {
+                continue;
+              }
+              const Tensor mixed = ops::matmul(a, b, ta, tb);
+              const Tensor up = ops::matmul(a.to(DType::kF32),
+                                            b.to(DType::kF32), ta, tb);
+              EXPECT_EQ(mixed.dtype(), DType::kF32);
+              EXPECT_TRUE(bitwise_equal(mixed, up))
+                  << dtype_name(a.dtype()) << (ta ? "^T" : "") << " x "
+                  << dtype_name(b.dtype()) << (tb ? "^T" : "")
+                  << " kernel=" << static_cast<int>(kk)
+                  << " threads=" << threads;
+            }
+          }
+        }
       }
-      // Transposed f16 operand (the grad_w shape of the backward pass).
-      const Tensor wt16 = Tensor::uniform({67, 50}, 133, -1, 1).to(DType::kF16);
-      const Tensor mixed_t = ops::matmul(a32, wt16, false, true);
-      const Tensor up_t = ops::matmul(a32, wt16.to(DType::kF32), false, true);
-      EXPECT_TRUE(bitwise_equal(mixed_t, up_t)) << "f32 x f16^T";
     }
   }
 }
@@ -728,28 +769,43 @@ TEST(QuantizeRow, OptimizedBitwiseEqualsReference) {
 }
 
 TEST(CompressedMatmul, BitwiseMatchesDequantizedMatmul) {
+  // An i8q operand carrying its row scale/zero is dequantized in the
+  // packer: the first layer's GEMMs (A rows) and its weight gradient
+  // gᵀ·x (B rows), long enough in K for split-K, on every pool size.
   KernelGuard guard;
   const Tensor a = Tensor::uniform({91, 53}, 151, -2, 2);
   const Tensor b = Tensor::uniform({53, 72}, 152, -1, 1);
   const Tensor bt = Tensor::uniform({72, 53}, 153, -1, 1);
-  Tensor scale, zero;
+  const Tensor tall = Tensor::uniform({3000, 53}, 154, -2, 2);
+  const Tensor g = Tensor::uniform({3000, 24}, 155, -1, 1);
+  Tensor scale, zero, tall_scale, tall_zero;
   const Tensor q = ops::quantize_rows(a, &scale, &zero);
+  const Tensor q_tall = ops::quantize_rows(tall, &tall_scale, &tall_zero);
+  ASSERT_TRUE(q.has_row_params());
   for (const ops::KernelKind kk :
        {ops::KernelKind::kRef, ops::KernelKind::kOpt}) {
     for (const std::size_t threads : {1u, 4u, 8u}) {
       ThreadPool pool(threads);
       guard.use(kk, &pool);
       const Tensor deq = ops::dequantize_rows(q, scale, zero);
-      EXPECT_TRUE(bitwise_equal(ops::matmul_compressed(q, scale, zero, b),
-                                ops::matmul(deq, b)))
+      EXPECT_TRUE(bitwise_equal(deq, q.to(DType::kF32)));
+      EXPECT_TRUE(bitwise_equal(ops::matmul(q, b), ops::matmul(deq, b)))
           << "kernel=" << static_cast<int>(kk) << " threads=" << threads;
-      EXPECT_TRUE(
-          bitwise_equal(ops::matmul_compressed(q, scale, zero, bt, true),
-                        ops::matmul(deq, bt, false, true)))
+      EXPECT_TRUE(bitwise_equal(ops::matmul(q, bt, false, true),
+                                ops::matmul(deq, bt, false, true)))
           << "trans_b kernel=" << static_cast<int>(kk)
           << " threads=" << threads;
+      EXPECT_TRUE(
+          bitwise_equal(ops::matmul(g, q_tall, true, false),
+                        ops::matmul(g, q_tall.to(DType::kF32), true, false)))
+          << "g^T x kernel=" << static_cast<int>(kk) << " threads=" << threads;
     }
   }
+  // Codes without their scale/zero cannot be read.
+  const Tensor bare({91, 53}, DType::kInt8Q);
+  EXPECT_THROW(ops::matmul(bare, b), std::invalid_argument);
+  EXPECT_THROW(ops::spmm_mean({0, 1}, {0}, bare, 1), std::invalid_argument);
+  EXPECT_THROW((void)bare.to(DType::kF32), std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autograd/functions.h"
 #include "autograd/gradcheck.h"
@@ -19,6 +20,7 @@
 #include "graph/generator.h"
 #include "tensor/kernel_config.h"
 #include "tensor/ops.h"
+#include "tensor/quantize.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -27,6 +29,18 @@ namespace {
 
 namespace ag = autograd;
 using nn::ModelConfig;
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.dtype() == b.dtype() && a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.nbytes()) == 0;
+}
+
+/// The wire copies of an f32 feature matrix a device batch can hold: f16,
+/// and i8q carrying its row scale/zero.
+std::vector<Tensor> wire_copies(const Tensor& x32) {
+  Tensor scale, zero;
+  return {x32.to(DType::kF16), ops::quantize_rows(x32, &scale, &zero)};
+}
 
 MfgLevel tiny_level() {
   // 2 destinations, 4 sources; dst0 <- {1,2}, dst1 <- {0,3}
@@ -252,6 +266,34 @@ TEST(SageConv, FusedNodeWithinUlpBoundOfUnfusedComposition) {
         }
       }
     }
+    // Wire rows as the first layer's x: the fused node aggregates and
+    // packs them directly, bitwise equal to the same rows converted first,
+    // for the output and both weight gradients.
+    for (const Tensor& xw :
+         wire_copies(Tensor::uniform({sh.src, sh.in}, 46, -1, 1))) {
+      for (const bool training : {true, false}) {
+        for (const bool relu : {true, false}) {
+          std::vector<Tensor> got;
+          for (const Tensor& in : {xw, xw.to(DType::kF32)}) {
+            Variable wl(Tensor::uniform({sh.out, sh.in}, 43, -1, 1), true);
+            Variable wr(Tensor::uniform({sh.out, sh.in}, 44, -1, 1), true);
+            Variable y = ag::sage_conv(level.indptr, level.indices,
+                                       Variable(in), level.num_dst, wl, wr,
+                                       Variable(), relu, 0.3, training,
+                                       0x5a6e);
+            y.backward(Tensor::uniform({sh.dst, sh.out}, 45, -1, 1));
+            got.insert(got.end(), {y.data(), wl.grad(), wr.grad()});
+          }
+          for (int k = 0; k < 3; ++k) {
+            EXPECT_TRUE(bitwise_equal(got[static_cast<std::size_t>(k)],
+                                      got[static_cast<std::size_t>(k + 3)]))
+                << dtype_name(xw.dtype()) << " src=" << sh.src
+                << " training=" << training << " relu=" << relu
+                << " output " << k;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -400,6 +442,38 @@ TEST_P(ModelForwardTest, ProducesLogProbabilitiesOverBatch) {
   loss.backward();
   for (const auto& p : model->parameters()) {
     EXPECT_TRUE(p.grad().defined());
+  }
+
+  // Wire rows as the model's input (f16, i8q with its row scale/zero), as a
+  // device batch delivers them: bitwise equal to the same rows converted
+  // first, for the output and every parameter gradient. For GraphSAGE also
+  // the max and pool aggregators, which convert the rows once.
+  for (const Tensor& xw : wire_copies(x)) {
+    std::vector<Tensor> got;
+    for (const Tensor& in : {xw, xw.to(DType::kF32)}) {
+      auto m = nn::make_model(arch, mc);
+      m->train(true);
+      Variable lp = m->forward(Variable(in), mfg);
+      m->zero_grad();
+      nn::nll_loss(lp, y).backward();
+      got.push_back(lp.data());
+      for (const auto& p : m->parameters()) got.push_back(p.grad());
+      if (arch != "sage") continue;
+      for (const nn::SageAggregator agg :
+           {nn::SageAggregator::kMax, nn::SageAggregator::kPool}) {
+        nn::SageConv conv(12, 16, false, 3, agg);
+        Variable h = conv.forward(Variable(in), mfg.levels[0]);
+        h.backward(Tensor::uniform(h.data().shape(), 31, -1, 1));
+        got.push_back(h.data());
+        for (const auto& p : conv.parameters()) got.push_back(p.grad());
+      }
+    }
+    const std::size_t half = got.size() / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      EXPECT_TRUE(bitwise_equal(got[i], got[half + i]))
+          << arch << " on " << dtype_name(xw.dtype()) << " rows, result "
+          << i;
+    }
   }
 }
 

@@ -387,20 +387,44 @@ TEST(InferenceServer, MatchesEvaluateSampledAtFullFanout) {
 
   const std::vector<std::int64_t> fanouts = full_fanouts(ds, 2);
   std::vector<NodeId> nodes(ds.test_idx.begin(), ds.test_idx.begin() + 64);
-  const InferenceResult reference = evaluate_sampled(
-      *model, ds, nodes, fanouts, /*batch_size=*/16, /*seed=*/1);
+  // Also on the i8q wire with a degree cache of i8q rows: the model reads
+  // the quantized rows as they arrive, so the reference runs on a copy of
+  // the dataset whose features are those rows dequantized.
+  for (const DType wire : {DType::kF16, DType::kInt8Q}) {
+    SCOPED_TRACE(dtype_name(wire));
+    Dataset dequantized;
+    const Dataset* ref_ds = &ds;
+    if (wire == DType::kInt8Q) {
+      dequantized = ds;
+      dequantized.features =
+          make_wire_store(ds.features, DType::kInt8Q)->rows.to(DType::kF32);
+      ref_ds = &dequantized;
+    }
+    const InferenceResult reference = evaluate_sampled(
+        *model, *ref_ds, nodes, fanouts, /*batch_size=*/16, /*seed=*/1);
 
-  ServeConfig sc = base_config();
-  sc.fanouts = fanouts;
-  InferenceServer server(ds, model, device, sc);
-  std::vector<std::future<Response>> futs;
-  futs.reserve(nodes.size());
-  for (const NodeId v : nodes) futs.push_back(server.submit({v}));
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    Response r = futs[i].get();
-    ASSERT_EQ(r.status, RequestStatus::kOk);
-    ASSERT_EQ(r.predictions.size(), 1u);
-    EXPECT_EQ(r.predictions[0], reference.predictions[i]) << "node " << i;
+    ServeConfig sc = base_config();
+    sc.fanouts = fanouts;
+    sc.feature_dtype = wire;
+    if (wire == DType::kInt8Q) {
+      sc.cache_policy = CachePolicyKind::kDegree;
+      sc.cache_percentage = 0.1;
+    }
+    InferenceServer server(ds, model, device, sc);
+    std::vector<std::future<Response>> futs;
+    futs.reserve(nodes.size());
+    for (const NodeId v : nodes) futs.push_back(server.submit({v}));
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      Response r = futs[i].get();
+      ASSERT_EQ(r.status, RequestStatus::kOk);
+      ASSERT_EQ(r.predictions.size(), 1u);
+      EXPECT_EQ(r.predictions[0], reference.predictions[i]) << "node " << i;
+    }
+    if (wire == DType::kInt8Q) {
+      ASSERT_TRUE(server.config().feature_cache);
+      EXPECT_EQ(server.config().feature_cache->dtype(), DType::kInt8Q);
+      EXPECT_GT(server.stats().feature_cache_hit_rate, 0.0);
+    }
   }
 }
 
@@ -547,6 +571,10 @@ TEST(InferenceServer, FeatureCachePathServesCorrectlyAndCountsHits) {
   EXPECT_GT(server.stats().feature_cache_hit_rate, 0.05);
   const std::string dump = obs::Registry::global().dump_text();
   EXPECT_NE(dump.find("prep.cache.row_hits"), std::string::npos);
+  // The device gathers hits and misses into one tensor of the wire dtype,
+  // so a cache of f16 rows cannot serve an i8q wire.
+  sc.feature_dtype = DType::kInt8Q;
+  EXPECT_THROW(InferenceServer(ds, model, device, sc), std::invalid_argument);
 }
 
 TEST(InferenceServer, ShutdownDrainsInFlightRequests) {

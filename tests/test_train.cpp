@@ -17,6 +17,7 @@
 #include "nn/models.h"
 #include "optim/adam.h"
 #include "tensor/kernel_config.h"
+#include "tensor/quantize.h"
 #include "train/inference.h"
 #include "train/trainer.h"
 #include "util/rng.h"
@@ -167,14 +168,14 @@ TEST(TrainStep, BitwiseEqualAcrossKernelPools) {
     double loss = 0;
     std::vector<Tensor> grads, params;
   };
-  auto run = [&](std::size_t threads) {
+  auto run = [&](std::size_t threads, const Tensor& input) {
     ThreadPool pool(threads);
     ops::set_kernel_pool(&pool);
     auto model = nn::make_model("sage", nn::ModelConfig{in, hidden, classes,
                                                          3, 5});
     optim::Adam opt(model->parameters(), 1e-2);
     Result r;
-    r.loss = train_step(*model, opt, x, mfg, y);
+    r.loss = train_step(*model, opt, input, mfg, y);
     for (const Variable& p : model->parameters()) {
       r.grads.push_back(p.grad().clone());
       r.params.push_back(p.data().clone());
@@ -186,17 +187,33 @@ TEST(TrainStep, BitwiseEqualAcrossKernelPools) {
     return a.shape() == b.shape() &&
            std::memcmp(a.raw(), b.raw(), a.nbytes()) == 0;
   };
-  const Result base = run(1);
+  auto expect_same = [&](const Result& a, const Result& b,
+                         const std::string& what) {
+    EXPECT_EQ(std::memcmp(&a.loss, &b.loss, sizeof(double)), 0)
+        << what << ": loss " << a.loss << " vs " << b.loss;
+    ASSERT_EQ(a.grads.size(), b.grads.size());
+    for (std::size_t i = 0; i < a.grads.size(); ++i) {
+      EXPECT_TRUE(same(a.grads[i], b.grads[i])) << what << ": gradient " << i;
+      EXPECT_TRUE(same(a.params[i], b.params[i]))
+          << what << ": parameter " << i;
+    }
+  };
+  const Result base = run(1, x);
   for (const std::size_t threads : {4u, 8u}) {
-    const Result r = run(threads);
-    EXPECT_EQ(std::memcmp(&base.loss, &r.loss, sizeof(double)), 0)
-        << threads << " threads: loss " << base.loss << " vs " << r.loss;
-    ASSERT_EQ(base.grads.size(), r.grads.size());
-    for (std::size_t i = 0; i < base.grads.size(); ++i) {
-      EXPECT_TRUE(same(base.grads[i], r.grads[i]))
-          << threads << " threads: gradient " << i;
-      EXPECT_TRUE(same(base.params[i], r.params[i]))
-          << threads << " threads: parameter " << i;
+    expect_same(base, run(threads, x), std::to_string(threads) + " threads");
+  }
+  // Layer 0 on wire rows (f16, i8q with its row scale/zero), as a device
+  // batch delivers them: its aggregation, conv GEMM and split-K weight
+  // gradient read them directly, bitwise equal to the same rows converted
+  // first, at every pool size.
+  Tensor scale, zero;
+  for (const Tensor& xw :
+       {x.to(DType::kF16), ops::quantize_rows(x, &scale, &zero)}) {
+    const Result converted = run(1, xw.to(DType::kF32));
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      expect_same(converted, run(threads, xw),
+                  std::string(dtype_name(xw.dtype())) + " rows, " +
+                      std::to_string(threads) + " threads");
     }
   }
 }

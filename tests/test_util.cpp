@@ -385,6 +385,33 @@ TEST(Half, BulkHalfToFloatMatchesScalarForAllPatterns) {
     std::memcpy(&gb, &bulk[b + 1], 4);
     ASSERT_EQ(gb, eb) << "half bits=" << b;
   }
+  // The accumulating converter (the f16 aggregation's row add), inline and
+  // out of line, in 103-wide rows so the 8-wide, 4-wide and tail steps all
+  // run: every pattern added to a non-NaN accumulator is bitwise the scalar
+  // conversion added, NaN payloads included.
+  for (const float init : {0.0f, -1.5f, 3.0e4f}) {
+    for (const bool inline_path : {true, false}) {
+      std::vector<float> acc(src.size(), init);
+      for (std::size_t at = 1; at < src.size(); at += 103) {
+        const std::size_t n = std::min<std::size_t>(103, src.size() - at);
+        if (inline_path) {
+          half_to_float_add_n(src.data() + at, acc.data() + at, n);
+        } else {
+          detail::half_to_float_add_n_bulk(src.data() + at, acc.data() + at,
+                                           n);
+        }
+      }
+      for (std::uint32_t b = 0; b < 0x10000; ++b) {
+        float expect = init;
+        expect += half_to_float(src[b + 1]);
+        std::uint32_t eb, gb;
+        std::memcpy(&eb, &expect, 4);
+        std::memcpy(&gb, &acc[b + 1], 4);
+        ASSERT_EQ(gb, eb) << "half bits=" << b << " init=" << init
+                          << " inline=" << inline_path;
+      }
+    }
+  }
 }
 
 TEST(Half, BulkFloatToHalfMatchesScalarForAllHalfValuesAndBoundaries) {

@@ -148,6 +148,31 @@ std::vector<Entry> build_entries() {
                                                    csr.weights, sg, 24576));
                 }});
 
+  // The e2e infer workload's layer-0 aggregation over its wire rows: ~83k
+  // destinations, ~1.2M edges over ~244k f16 or i8q source rows of 100
+  // features — above ops::kMemoryBoundGrain (the 8kx24k lines above are
+  // below it, so they run serially at every pool size). Each wire dtype
+  // twice: converted to f32 first and then aggregated, and aggregated as
+  // each neighbour row is converted (the device batch's path).
+  static const Csr wire_csr = make_csr(83000, 244000, 28, 24);
+  static const Tensor wire_x32 = Tensor::uniform({244000, 100}, 25, -3, 3);
+  static const Tensor wire_x16 = wire_x32.to(DType::kF16);
+  static const Tensor wire_xq = [] {
+    Tensor scale, zero;
+    return ops::quantize_rows(wire_x32, &scale, &zero);
+  }();
+  for (const Tensor* x : {&wire_x16, &wire_xq}) {
+    const std::string dt = dtype_name(x->dtype());
+    es.push_back({"spmm_mean_dequant_" + dt + "_83kx244k_f100", [x] {
+                    sink(ops::spmm_mean(wire_csr.indptr, wire_csr.indices,
+                                        x->to(DType::kF32), 83000));
+                  }});
+    es.push_back({"spmm_mean_fused_" + dt + "_83kx244k_f100", [x] {
+                    sink(ops::spmm_mean(wire_csr.indptr, wire_csr.indices,
+                                        *x, 83000));
+                  }});
+  }
+
   // Fused-epilogue Linear forward vs the unfused three-pass sequence at a
   // hidden-layer shape. check_gate() additionally enforces the fusion win
   // directly: the unfused over the fused single-thread time, interleaved
@@ -174,6 +199,11 @@ std::vector<Entry> build_entries() {
   static const Tensor wx = Tensor::uniform({25995, 128}, 20, -1, 1);
   es.push_back({"gemm_f32_tA_64x25995x128",
                 [] { sink(ops::matmul(wg, wx, true, false)); }});
+  // The same gradient with x as f16 wire rows, the B operand converted in
+  // its packer (layer 0 of the e2e train workload reads its f16 batch so).
+  static const Tensor wx16 = wx.to(DType::kF16);
+  es.push_back({"gemm_f16b_tA_64x25995x128",
+                [] { sink(ops::matmul(wg, wx16, true, false)); }});
 
   // A GraphSAGE conv with its ReLU/dropout tail on the SpMM entries' MFG
   // level, 128 -> 64 features: the unfused composition (two Linears, add,

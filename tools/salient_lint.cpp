@@ -200,7 +200,9 @@ std::string scrub(const std::string& src) {
           // R"delim( ... )delim"
           std::size_t p = i + 2;
           while (p < src.size() && src[p] != '(') ++p;
-          raw_delim = ")" + src.substr(i + 2, p - (i + 2)) + "\"";
+          raw_delim.assign(1, ')');
+          raw_delim.append(src, i + 2, p - (i + 2));
+          raw_delim.push_back('"');
           for (std::size_t k = i; k <= p && k < src.size(); ++k) {
             if (out[k] != '\n') out[k] = ' ';
           }

@@ -23,7 +23,7 @@
 //     --max-wait-us=<us>      micro-batch wait bound          [2000]
 //     --queue-cap=<n>         admission queue capacity        [256]
 //     --workers=<n>           prep workers                    [2]
-//     --cache-mb=<mb>         device feature cache size       [0 = off]
+//     --cache-mb=<mb>         device feature cache size, rows at wire bytes [0 = off]
 //     --cache-pct=<frac>      feature cache capacity, fraction of |V| [0 = off]
 //     --cache-policy=<name>   lru|degree|presample|auto       [degree]
 //     --result-cache=<n>      result cache entries            [0 = off]
@@ -58,6 +58,7 @@
 #include "nn/models.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
+#include "tensor/quantize.h"
 
 namespace {
 
@@ -180,10 +181,16 @@ ServeConfig make_serve_config(const Dataset& ds, const LoadgenOptions& o) {
   sc.result_cache_capacity = o.result_cache;
   sc.slo_us = o.slo_ms * 1000.0;
   if (o.cache_mb > 0) {
+    // The cache holds rows in the server's wire dtype, so a megabyte holds
+    // 1e6 / wire_row_bytes of them (2F bytes for f16, F + 8 for i8q).
     const auto nodes = static_cast<std::int64_t>(
-        o.cache_mb * 1e6 / (static_cast<double>(ds.feature_dim) * 4.0));
+        o.cache_mb * 1e6 /
+        static_cast<double>(
+            ops::wire_row_bytes(sc.feature_dtype, ds.feature_dim)));
     sc.feature_cache = std::make_shared<const FeatureCache>(
-        ds, std::min<std::int64_t>(nodes, ds.graph.num_nodes()));
+        ds, std::min<std::int64_t>(nodes, ds.graph.num_nodes()),
+        CachePolicyConfig{},
+        make_wire_store(ds.features, sc.feature_dtype)->rows);
   } else if (o.cache_pct > 0) {
     // Let the server build its own policy-driven cache (presample warmup
     // seeds from the test split, matching the request population).
